@@ -10,6 +10,7 @@ package cpu
 
 import (
 	"fmt"
+	"runtime"
 
 	"ccnuma/internal/cache"
 	"ccnuma/internal/config"
@@ -77,6 +78,9 @@ type Proc struct {
 
 	start chan struct{}
 	ops   chan op
+	// aborted is set by Abort before it closes start, so a parked program
+	// goroutine wakes and ends instead of waiting forever.
+	aborted bool
 
 	// syncCb, when set, receives the completion of an access issued by the
 	// synchronization layer instead of resuming the program.
@@ -213,11 +217,29 @@ func (p *Proc) Counters() map[string]uint64 {
 func (p *Proc) Run(program func(prog.Env)) {
 	env := &Env{p: p}
 	go func() {
-		<-p.start
+		p.wait()
 		program(env)
 		p.ops <- op{kind: opDone}
 	}()
 	p.eng.At(p.eng.Now(), p.resumeProgram)
+}
+
+// wait parks the program goroutine until the engine hands it control, and
+// ends the goroutine instead if the run was aborted.
+func (p *Proc) wait() {
+	<-p.start
+	if p.aborted {
+		runtime.Goexit()
+	}
+}
+
+// Abort releases the program goroutine of a processor whose run ended
+// before its program did (an error or panic out of the run loop). It must
+// be called at most once, after the engine has stopped, and the processor
+// must not be resumed afterwards.
+func (p *Proc) Abort() {
+	p.aborted = true
+	close(p.start)
 }
 
 // Resume lets the synchronization handler continue a parked processor.
@@ -652,7 +674,7 @@ func (e *Env) issue(o op) {
 	o.comp = e.p.pendingComp
 	e.p.pendingComp = 0
 	e.p.ops <- o
-	<-e.p.start
+	e.p.wait()
 }
 
 // Read performs a shared-memory load from addr.

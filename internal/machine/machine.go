@@ -203,11 +203,19 @@ func (m *Machine) NProcs() int { return len(m.Procs) }
 
 // Run executes program on every processor (SPMD) and returns the collected
 // statistics. The run fails if the simulation exceeds the configured time
-// limit or deadlocks with unfinished processors.
+// limit or deadlocks with unfinished processors; however Run ends, it
+// releases the goroutines of programs that did not finish.
 func (m *Machine) Run(program func(prog.Env)) (*stats.Run, error) {
 	for _, p := range m.Procs {
 		p.Run(program)
 	}
+	defer func() {
+		for _, p := range m.Procs {
+			if done, _ := p.Finished(); !done {
+				p.Abort()
+			}
+		}
+	}()
 	if m.sampler != nil {
 		if m.cluster != nil {
 			return nil, fmt.Errorf("machine: the sampler probes every node from one periodic event and requires SimShards <= 1")
@@ -251,18 +259,24 @@ func (m *Machine) Run(program func(prog.Env)) (*stats.Run, error) {
 // are a few events per component; millions means time has stopped advancing.
 const watchdogChunk = 2_000_000
 
-// runEngine drives the event loop in chunks, watching for loss of forward
-// progress: if a full chunk of events executes without the clock moving, or
-// with no useful protocol work (dispatches) behind heavy NACK/retry
-// traffic, the run is aborted with a classified stall report and a state
-// snapshot instead of spinning forever.
+// runEngine drives the event loop (serial, or the shard cluster) in chunks
+// of watchdogChunk events, watching for loss of forward progress: if a full
+// chunk executes without the clock moving, or with no useful protocol work
+// (dispatches) behind heavy NACK/retry traffic, the run is aborted with a
+// classified stall report and a state snapshot instead of spinning forever.
 func (m *Machine) runEngine() error {
+	check := m.watchdog()
 	if m.cluster != nil {
-		return m.runEngineSharded()
+		_, err := m.cluster.Run(watchdogChunk, check)
+		// The cluster reports the limit only after draining every event at
+		// or below it, exactly like the serial loop; re-render its error in
+		// the machine's format. Watchdog errors pass through unchanged.
+		if err != nil && m.cluster.LimitHit() && strings.HasPrefix(err.Error(), "sim: time limit") {
+			return m.limitError()
+		}
+		return err
 	}
-	prevDisp, prevNacks, prevRetries := m.progressCounters()
 	for {
-		last := m.Eng.Now()
 		n := 0
 		for n < watchdogChunk && m.Eng.Step() {
 			n++
@@ -270,34 +284,30 @@ func (m *Machine) runEngine() error {
 		if n < watchdogChunk {
 			break // queue drained, Stop called, or time limit hit
 		}
-		rep := m.stallReport(last, n, prevDisp, prevNacks, prevRetries)
-		if m.Eng.Now() == last {
-			return fmt.Errorf("machine: watchdog: simulated time stalled at t=%d (%d events without progress)\n%s\n%s",
-				m.Eng.Now(), watchdogChunk, rep, m.Snapshot())
+		if err := check(m.Eng.Executed()); err != nil {
+			return err
 		}
-		// Time advances but a whole chunk dispatched nothing while NACK or
-		// retry traffic flowed: the protocol is churning without absorbing
-		// work (NACK storm / livelock with a moving clock).
-		if rep.DispatchesInWindow == 0 && rep.NacksInWindow+rep.RetriesInWindow > 0 {
-			return fmt.Errorf("machine: watchdog: no useful work for %d events at t=%d\n%s\n%s",
-				watchdogChunk, m.Eng.Now(), rep, m.Snapshot())
-		}
-		prevDisp, prevNacks, prevRetries = m.progressCounters()
 	}
 	if m.Eng.LimitHit() {
-		return fmt.Errorf("machine: time limit %d exceeded at t=%d with %d events pending\n%s",
-			m.Eng.Limit, m.Eng.Now(), m.Eng.Pending(), m.Snapshot())
+		return m.limitError()
 	}
 	return nil
 }
 
-// runEngineSharded drives the shard cluster with the same watchdog policy
-// as the serial loop: the onCheck hook fires with the cluster quiescent
-// every watchdogChunk events, applying the identical stall classification.
-func (m *Machine) runEngineSharded() error {
+func (m *Machine) limitError() error {
+	return fmt.Errorf("machine: time limit %d exceeded at t=%d with %d events pending\n%s",
+		m.Eng.Limit, m.simNow(), m.pendingEvents(), m.Snapshot())
+}
+
+// watchdog returns the stall check runEngine applies after every
+// watchdogChunk events, on either engine. It fails the run if simulated
+// time did not move since the previous check, or if time moved but no
+// protocol work was dispatched while NACK or retry traffic flowed (a NACK
+// storm, or livelock with a moving clock).
+func (m *Machine) watchdog() func(executed uint64) error {
 	prevDisp, prevNacks, prevRetries := m.progressCounters()
 	last := m.simNow()
-	check := func(executed uint64) error {
+	return func(uint64) error {
 		rep := m.stallReport(last, watchdogChunk, prevDisp, prevNacks, prevRetries)
 		now := m.simNow()
 		if now == last {
@@ -312,17 +322,6 @@ func (m *Machine) runEngineSharded() error {
 		last = now
 		return nil
 	}
-	if _, err := m.cluster.Run(watchdogChunk, check); err != nil {
-		// The cluster reports the limit only after draining every event at
-		// or below it, exactly like the serial loop; re-render its error in
-		// the machine's format. Watchdog errors pass through unchanged.
-		if m.cluster.LimitHit() && strings.HasPrefix(err.Error(), "sim: time limit") {
-			return fmt.Errorf("machine: time limit %d exceeded at t=%d with %d events pending\n%s",
-				m.Eng.Limit, m.simNow(), m.pendingEvents(), m.Snapshot())
-		}
-		return err
-	}
-	return nil
 }
 
 // Snapshot renders the machine's live state for stall and deadlock reports:

@@ -16,7 +16,7 @@ const ArtifactSchema = "ccnuma-run/v1"
 // Artifact is the versioned, machine-readable record of one simulation run:
 // the knobs that produced it, the headline metrics of the paper's tables,
 // and the latency distributions with percentiles. It is the document behind
-// ccsim/ccsweep/cctables -json and BENCH_*.json trajectory tracking.
+// ccsim/ccsweep/cctables -json and of the ccserved artifact store.
 type Artifact struct {
 	Schema string `json:"schema"`
 	Tool   string `json:"tool"`

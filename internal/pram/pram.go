@@ -15,6 +15,7 @@ package pram
 
 import (
 	"fmt"
+	"runtime"
 
 	"ccnuma/internal/cache"
 	"ccnuma/internal/config"
@@ -60,6 +61,16 @@ type proc struct {
 	ops      chan op
 	blocked  bool
 	finished bool
+	aborted  bool // set before start is closed on a failed run
+}
+
+// wait parks the program goroutine until the scheduler steps it, and ends
+// the goroutine instead if the run failed.
+func (p *proc) wait() {
+	<-p.start
+	if p.aborted {
+		runtime.Goexit()
+	}
 }
 
 type opKind int
@@ -118,16 +129,25 @@ func (s *Sim) RCCPI() float64 {
 
 // Run executes the SPMD program functionally. Processors run one at a time
 // (barrier- and lock-granular scheduling), which preserves the data-race-
-// free programs' results and reference streams.
+// free programs' results and reference streams. However Run ends, it
+// releases the goroutines of programs that did not finish.
 func (s *Sim) Run(program func(prog.Env)) error {
 	for _, p := range s.procs {
 		p := p
 		go func() {
-			<-p.start
+			p.wait()
 			program(&env{p: p})
 			p.ops <- op{kind: opDone}
 		}()
 	}
+	defer func() {
+		for _, p := range s.procs {
+			if !p.finished {
+				p.aborted = true
+				close(p.start)
+			}
+		}
+	}()
 	// Round-robin one operation per processor per turn: per-reference
 	// interleaving matters, because it produces the line ping-pong that
 	// dominates the communication of migratory and falsely-shared data
@@ -409,7 +429,7 @@ func (e *env) Node() int { return e.p.node }
 
 func (e *env) issue(o op) {
 	e.p.ops <- o
-	<-e.p.start
+	e.p.wait()
 }
 
 func (e *env) Read(addr uint64)  { e.issue(op{kind: opRead, addr: addr}) }

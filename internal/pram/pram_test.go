@@ -1,7 +1,9 @@
 package pram
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"ccnuma/internal/config"
 	"ccnuma/internal/machine"
@@ -203,5 +205,27 @@ func TestEstimateAllApps(t *testing.T) {
 				t.Fatalf("verification under PRAM: %v", err)
 			}
 		})
+	}
+}
+
+// TestDeadlockReleasesPrograms pins that a deadlocked run leaves no
+// program goroutine parked behind it.
+func TestDeadlockReleasesPrograms(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s, _, _ := newSim(t, 2, 2)
+	err := s.Run(func(e prog.Env) {
+		if e.ID() == 0 {
+			e.Barrier()
+		}
+	})
+	if err == nil {
+		t.Fatal("a barrier only processor 0 joins must deadlock")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running after the deadlock, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
