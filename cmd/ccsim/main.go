@@ -12,6 +12,7 @@
 //	ccsim -spec examples/scenarios/base.json -netlat 200
 //	ccsim -spec examples/scenarios/base.json -print-spec
 //	ccsim -replay out/run.json -json out/run2.json
+//	ccsim -app fft -arch PPC -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
@@ -57,6 +58,8 @@ func main() {
 	sampleOut := flag.String("sample-out", "", "time-series output file (.json = JSON, else CSV; default samples.csv)")
 	jsonPath := flag.String("json", "", "write the machine-readable run artifact to this file")
 	perfOut := flag.Bool("perf", false, "include host engine-throughput numbers in the artifact (makes it host-dependent)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the simulation (runtime/pprof format) to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile (allocations and in-use memory) to this file after the run")
 	flag.Parse()
 
 	spec, err := scenario.FromFlags(flag.CommandLine, *specPath, *replayPath, nil)
@@ -76,6 +79,10 @@ func main() {
 		fatal(err)
 	}
 
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fatal(err)
+	}
 	cfg := spec.Machine
 	app := spec.Workload.App
 	size, err := spec.Size()
@@ -114,6 +121,9 @@ func main() {
 	}
 	if err := w.Verify(); err != nil {
 		fatal(fmt.Errorf("verification failed: %w", err))
+	}
+	if err := stopProfiles(); err != nil {
+		fatal(err)
 	}
 	if tr != nil {
 		if err := obs.WriteChromeTraceFile(*tracePath, tr.Events()); err != nil {

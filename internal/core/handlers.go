@@ -84,16 +84,14 @@ func (cc *Controller) handleRemoteBus(w *work) sim.Time {
 // invalidations for the line are replayed.
 func (cc *Controller) mshrFill(m *mshrEntry, shared bool) {
 	m.filling = true
-	orig := m.parked.Done
 	line := m.line
-	m.parked.Done = func(o smpbus.Outcome) {
-		orig(o)
+	m.parked.OnComplete(func() {
 		cur := cc.mshr[line]
 		if cur == m {
 			delete(cc.mshr, line)
 			cc.replay(m.waiters)
 		}
-	}
+	})
 	cc.bus.Supply(m.parked, true, shared, m.data)
 }
 
@@ -287,11 +285,7 @@ func (cc *Controller) finishOp(op *homeOp) {
 			Data: op.data, Epoch: op.epoch, Txn: op.txn,
 		})
 	} else if op.parked != nil {
-		orig := op.parked.Done
-		op.parked.Done = func(o smpbus.Outcome) {
-			orig(o)
-			cc.retireOp(op)
-		}
+		op.parked.OnComplete(func() { cc.retireOp(op) })
 		cc.bus.Supply(op.parked, !op.upgrade, !op.excl, op.data)
 		return
 	}

@@ -86,6 +86,19 @@ type Proc struct {
 	// synchronization layer instead of resuming the program.
 	syncCb func()
 
+	// txn is the processor's one bus transaction for its outstanding miss
+	// (the MSHR): a processor has at most one miss in flight, so the same
+	// Txn is re-issued across bus retries and successive misses. Its Kind
+	// and Line are the pending miss's, from the moment the miss is detected
+	// until its completion.
+	txn smpbus.Txn
+	// nextOp is the operation waiting out its compute delay.
+	nextOp op
+	// Callbacks bound once in New, so scheduling them allocates nothing:
+	// resume the program, issue the pending miss, re-evaluate it after a
+	// bus back-off, and run nextOp.
+	resumeFn, issueFn, retryFn, execFn func()
+
 	pendingComp int64 // program-side accumulated compute cycles
 
 	// Statistics.
@@ -134,8 +147,18 @@ func New(eng *sim.Engine, cfg *config.Config, id, node int, bus *smpbus.Bus,
 		ops:   make(chan op),
 	}
 	p.src = bus.AttachSnooper(p)
+	p.txn = smpbus.Txn{Src: p.src, Done: p.missDone}
+	p.resumeFn = p.resumeProgram
+	p.issueFn = func() { p.issueMiss(p.txn.Line, p.txn.Kind) }
+	p.retryFn = func() { p.retryAccess(p.txn.Line, p.txn.Kind) }
+	p.execFn = func() { p.execOp(p.nextOp) }
 	return p
 }
+
+// MissTxn returns the bus transaction the processor re-issues for every
+// miss (for tests and diagnostics: its Done must stay the processor's own
+// callback).
+func (p *Proc) MissTxn() *smpbus.Txn { return &p.txn }
 
 // AttachSpans attaches the latency-attribution span tracker (nil keeps
 // attribution disabled).
@@ -221,7 +244,7 @@ func (p *Proc) Run(program func(prog.Env)) {
 		program(env)
 		p.ops <- op{kind: opDone}
 	}()
-	p.eng.At(p.eng.Now(), p.resumeProgram)
+	p.eng.At(p.eng.Now(), p.resumeFn)
 }
 
 // wait parks the program goroutine until the engine hands it control, and
@@ -276,7 +299,8 @@ func (p *Proc) resumeProgram() {
 func (p *Proc) handleOp(o op) {
 	if o.comp > 0 {
 		p.instructions += uint64(o.comp)
-		p.eng.After(sim.Time(o.comp), func() { p.execOp(o) })
+		p.nextOp = o
+		p.eng.After(sim.Time(o.comp), p.execFn)
 		return
 	}
 	p.execOp(o)
@@ -357,11 +381,11 @@ func (p *Proc) access(addr uint64, write bool) {
 			p.spans.Start(p.missTxn, p.node, line, p.missStart)
 			p.spans.SpanBegin(p.missTxn, obs.StageStall, 0, p.missStart)
 		}
-		kind := smpbus.Read
+		p.txn.Line, p.txn.Kind = line, smpbus.Read
 		if write {
-			kind = smpbus.ReadEx
+			p.txn.Kind = smpbus.ReadEx
 		}
-		p.eng.After(p.cfg.L2MissDetect, func() { p.issueMiss(line, kind) })
+		p.eng.After(p.cfg.L2MissDetect, p.issueFn)
 	case !write:
 		p.l2Hits++
 		p.readValue(line)
@@ -375,7 +399,8 @@ func (p *Proc) access(addr uint64, write bool) {
 		p.finishAccess(p.cfg.L2HitTime)
 	default: // write to Shared or Owned: upgrade
 		p.upgrades++
-		p.eng.After(p.cfg.L2MissDetect, func() { p.issueMiss(line, smpbus.Upgrade) })
+		p.txn.Line, p.txn.Kind = line, smpbus.Upgrade
+		p.eng.After(p.cfg.L2MissDetect, p.issueFn)
 	}
 }
 
@@ -385,18 +410,16 @@ func (p *Proc) requesterOwns(line uint64, kind smpbus.Kind) bool {
 	return kind == smpbus.Upgrade && p.l2.Lookup(line) == cache.Owned
 }
 
-// issueMiss puts a transaction on the bus and handles its outcome,
-// retrying with a re-evaluated cache state when bounced.
+// issueMiss puts the processor's transaction on the bus for line; missDone
+// handles its outcome, retrying with a re-evaluated cache state when
+// bounced.
 func (p *Proc) issueMiss(line uint64, kind smpbus.Kind) {
-	owns := p.requesterOwns(line, kind)
-	txn := &smpbus.Txn{
-		Kind:          kind,
-		Line:          line,
-		Src:           p.src,
-		HomeLocal:     p.space.Home(line) == p.node,
-		RequesterOwns: owns,
-		Done:          func(o smpbus.Outcome) { p.missDone(line, kind, owns, o) },
-	}
+	txn := &p.txn
+	txn.Kind = kind
+	txn.Line = line
+	txn.HomeLocal = p.space.Home(line) == p.node
+	txn.RequesterOwns = p.requesterOwns(line, kind)
+	txn.Attr = 0
 	if p.missActive {
 		txn.Attr = p.missTxn
 		p.spans.SpanEnd(p.missTxn, obs.StageStall, 0, p.eng.Now())
@@ -424,13 +447,15 @@ func (p *Proc) busBackoff() sim.Time {
 	return d
 }
 
-func (p *Proc) missDone(line uint64, kind smpbus.Kind, owned bool, o smpbus.Outcome) {
+// missDone is the processor transaction's Done callback.
+func (p *Proc) missDone(o smpbus.Outcome) {
+	line, kind, owned := p.txn.Line, p.txn.Kind, p.txn.RequesterOwns
 	p.tr.Cache(p.eng.Now(), p.node, p.src, line, "missDone", kind.String())
 	switch o.Status {
 	case smpbus.RetryNeeded:
 		p.retries++
 		p.spans.SpanBegin(p.missTxn, obs.StageBackoff, 0, p.eng.Now())
-		p.eng.After(p.busBackoff(), func() { p.retryAccess(line, kind) })
+		p.eng.After(p.busBackoff(), p.retryFn)
 		return
 	case smpbus.OK:
 		p.retryStreak = 0
@@ -466,7 +491,7 @@ func (p *Proc) missDone(line uint64, kind smpbus.Kind, owned bool, o smpbus.Outc
 			// invalidated it while the upgrade was in flight, in which
 			// case global ownership moved and we must restart.
 			if p.l2.Lookup(line) != cache.Owned {
-				p.eng.After(p.cfg.BusRetry, func() { p.retryAccess(line, smpbus.Upgrade) })
+				p.eng.After(p.cfg.BusRetry, p.retryFn)
 				return
 			}
 			p.l2.SetState(line, cache.Modified)
@@ -588,7 +613,7 @@ func (p *Proc) finishAccess(extra sim.Time) {
 		p.eng.After(extra, cb)
 		return
 	}
-	p.eng.After(extra, p.resumeProgram)
+	p.eng.After(extra, p.resumeFn)
 }
 
 // Snoop implements the bus snooping agent for this processor's caches.

@@ -18,44 +18,6 @@ type Time int64
 // compute-processor clock.
 func (t Time) Nanoseconds() float64 { return float64(t) * 5.0 }
 
-// event is a scheduled closure. seq breaks ties between events scheduled for
-// the same cycle so execution order is insertion order (deterministic).
-// Events are stored by value inside the engine's heap slab: scheduling one
-// performs no per-event heap allocation (the closure the caller passes is
-// the only allocation on the scheduling path).
-//
-// rank is nil on a serial engine. On a sharded engine (one that belongs to a
-// Cluster) every event carries a scheduling-lineage rank that reconstructs
-// the serial (time, seq) total order without a global sequence counter; see
-// shard.go for the ordering argument.
-type event struct {
-	at   Time
-	seq  uint64
-	rank *rankNode
-	fn   func()
-}
-
-// before reports whether e orders ahead of o in the engine's total order:
-// (time, seq) on a serial engine, (time, rank) on a sharded one. An engine
-// never mixes ranked and unranked events, so the nil checks only select the
-// mode.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	if e.rank == nil {
-		return e.seq < o.seq
-	}
-	return rankLess(e.rank, o.rank)
-}
-
-// heapArity is the fan-out of the event heap. A 4-ary heap halves the tree
-// depth of a binary heap, trading a few extra sibling comparisons (which hit
-// the same cache line, since events are stored by value) for fewer
-// level-to-level moves — the winning trade for the short-horizon reschedule
-// pattern that dominates the machine model.
-const heapArity = 4
-
 // Engine is a discrete-event scheduler. The zero value is not usable; create
 // one with NewEngine. Engine is not safe for concurrent use: all model code
 // runs on the single goroutine that called Run (workload goroutines hand off
@@ -65,17 +27,16 @@ const heapArity = 4
 type Engine struct {
 	now Time
 	seq uint64
-	// events is a value-typed heapArity-ary min-heap ordered by (at, seq).
-	// The backing array doubles as the event slab: pops shrink the slice
-	// without releasing capacity, so a simulation reaches its high-water
-	// queue depth once and then schedules allocation-free.
-	events []event
+	// q is the time-wheel event queue (queue.go). Its node slab and
+	// overflow heap keep their capacity, so a simulation reaches its
+	// high-water queue depth once and then schedules allocation-free.
+	q queue
 	// stopped is set by Stop; Run drains no further events once set.
 	stopped bool
 	// executed counts events run, for debugging, runaway detection, and
 	// events-per-second throughput accounting (obs.MeasurePerf).
 	executed uint64
-	// maxPending tracks the heap's high-water mark (slab size reporting).
+	// maxPending tracks the queue's high-water mark (slab size reporting).
 	maxPending int
 	// limitHit records that the run ended because Limit was exceeded.
 	limitHit bool
@@ -136,9 +97,9 @@ func (e *Engine) At(t Time, fn func()) {
 		e.seq++
 		ev.seq = e.seq
 	}
-	e.push(ev)
-	if len(e.events) > e.maxPending {
-		e.maxPending = len(e.events)
+	e.q.push(ev, e.now)
+	if e.q.n > e.maxPending {
+		e.maxPending = e.q.n
 	}
 }
 
@@ -150,83 +111,45 @@ func (e *Engine) After(d Time, fn func()) {
 	e.At(e.now+d, fn)
 }
 
-// push appends ev and sifts it up to its heap position.
-func (e *Engine) push(ev event) {
-	h := append(e.events, ev)
-	e.events = h
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / heapArity
-		if !ev.before(&h[parent]) {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = ev
-}
-
-// pop removes and returns the minimum event. The vacated slot at the slab
-// tail is zeroed so the engine does not pin the popped closure alive.
-func (e *Engine) pop() event {
-	h := e.events
-	min := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{}
-	h = h[:n]
-	e.events = h
-	if n > 0 {
-		// Sift last down from the root.
-		i := 0
-		for {
-			c := heapArity*i + 1
-			if c >= n {
-				break
-			}
-			end := c + heapArity
-			if end > n {
-				end = n
-			}
-			m := c
-			for j := c + 1; j < end; j++ {
-				if h[j].before(&h[m]) {
-					m = j
-				}
-			}
-			if !h[m].before(&last) {
-				break
-			}
-			h[i] = h[m]
-			i = m
-		}
-		h[i] = last
-	}
-	return min
-}
-
 // Stop halts the run loop after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Step executes the single earliest pending event and advances time to it.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	if e.stopped || len(e.events) == 0 {
+	t, ok := e.peek()
+	if !ok {
 		return false
 	}
-	if e.Limit > 0 && e.events[0].at > e.Limit {
+	if e.Limit > 0 && t > e.Limit {
 		e.stopped = true
 		e.limitHit = true
 		return false
 	}
-	ev := e.pop()
-	e.now = ev.at
+	e.pop(t).fn()
+	return true
+}
+
+// peek reports the time of the earliest pending event, or false when the
+// engine is stopped or its queue is empty. Serial stepping and sharded
+// windows both decide through it whether to run the next event.
+func (e *Engine) peek() (Time, bool) {
+	if e.stopped {
+		return 0, false
+	}
+	return e.q.peek(e.now)
+}
+
+// pop removes the earliest event, whose time t peek reported, advances the
+// clock to it, and sets the scheduling context its body runs under.
+func (e *Engine) pop(t Time) event {
+	ev := e.q.take(t)
+	e.now = t
 	e.executed++
 	if e.cluster != nil {
-		e.cur = Ctx{parent: ev.rank, at: ev.at}
+		e.cur = Ctx{parent: ev.rank, at: t}
 	}
-	ev.fn()
-	return true
+	return ev
 }
 
 // Sharded reports whether the engine belongs to a Cluster. Model components
@@ -241,13 +164,13 @@ func (e *Engine) Run() (Time, error) {
 	for e.Step() {
 	}
 	if e.limitHit {
-		return e.now, fmt.Errorf("sim: time limit %d exceeded at t=%d with %d events pending", e.Limit, e.now, len(e.events))
+		return e.now, fmt.Errorf("sim: time limit %d exceeded at t=%d with %d events pending", e.Limit, e.now, e.q.n)
 	}
 	return e.now, nil
 }
 
 // Pending reports the number of events waiting in the queue.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.q.n }
 
 // LimitHit reports whether stepping stopped because the time limit was
 // exceeded (for callers driving Step directly instead of Run).

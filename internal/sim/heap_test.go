@@ -6,10 +6,11 @@ import (
 	"testing"
 )
 
-// TestHeapTotalOrder drives the 4-ary heap with a large randomized
+// TestHeapTotalOrder drives the event queue with a large randomized
 // interleaving of pushes and pops and checks that events drain in exact
 // (time, seq) total order — including FIFO order for same-cycle ties, which
-// the machine model relies on for bit-for-bit reproducibility.
+// the machine model relies on for bit-for-bit reproducibility. Delays reach
+// past the time wheel, so the overflow heap orders some of them.
 func TestHeapTotalOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	e := NewEngine()
@@ -27,8 +28,12 @@ func TestHeapTotalOrder(t *testing.T) {
 	for round := 0; round < 200; round++ {
 		batch := rng.Intn(32) + 1
 		for i := 0; i < batch; i++ {
-			// Cluster times into few buckets to force same-cycle ties.
+			// Cluster times into few buckets to force same-cycle ties,
+			// and send one in eight past the wheel into the overflow heap.
 			at := e.Now() + Time(rng.Intn(8))
+			if rng.Intn(8) == 0 {
+				at += wheelSize - 4
+			}
 			var ev stamp
 			e.At(at, func() {
 				ev.at = e.Now()
@@ -91,13 +96,24 @@ func TestHeapSameCycleFIFO(t *testing.T) {
 	}
 }
 
-// TestHeapSlabReuse checks that the heap's backing array is reused: after
-// reaching steady state, schedule/step cycles must not grow the slab.
+// slabCap is the queue's total slot capacity: the wheel's node slab plus
+// the overflow heap.
+func slabCap(e *Engine) int { return cap(e.q.nodes) + cap(e.q.over) }
+
+// TestHeapSlabReuse checks that the queue's backing arrays (the wheel's
+// node slab and the overflow heap) are reused: after reaching steady state,
+// schedule/step cycles must not grow the slab.
 func TestHeapSlabReuse(t *testing.T) {
 	e := NewEngine()
 	var fire func()
 	rng := rand.New(rand.NewSource(7))
-	fire = func() { e.After(Time(rng.Intn(16)+1), fire) }
+	fire = func() {
+		d := Time(rng.Intn(16) + 1)
+		if rng.Intn(16) == 0 {
+			d += 2 * wheelSize // overflow heap
+		}
+		e.After(d, fire)
+	}
 	const depth = 512
 	for i := 0; i < depth; i++ {
 		e.At(Time(rng.Intn(16)), fire)
@@ -106,12 +122,12 @@ func TestHeapSlabReuse(t *testing.T) {
 	for i := 0; i < 10_000; i++ {
 		e.Step()
 	}
-	capBefore := cap(e.events)
+	capBefore := slabCap(e)
 	for i := 0; i < 100_000; i++ {
 		e.Step()
 	}
-	if cap(e.events) != capBefore {
-		t.Fatalf("slab grew in steady state: cap %d -> %d", capBefore, cap(e.events))
+	if got := slabCap(e); got != capBefore {
+		t.Fatalf("slab grew in steady state: cap %d -> %d", capBefore, got)
 	}
 	if e.MaxPending() < depth {
 		t.Fatalf("MaxPending %d below steady-state depth %d", e.MaxPending(), depth)
@@ -119,14 +135,21 @@ func TestHeapSlabReuse(t *testing.T) {
 }
 
 // TestHeapScheduleStepAllocFree asserts the serial scheduling hot path is
-// allocation-free at steady state: the rank machinery added for sharded
-// clusters must cost serial engines nothing (events carry a nil rank and
-// the (time, seq) path is unchanged).
+// allocation-free at steady state, through the wheel buckets and the
+// overflow heap alike: the rank machinery added for sharded clusters must
+// cost serial engines nothing (events carry a nil rank and the (time, seq)
+// path is unchanged).
 func TestHeapScheduleStepAllocFree(t *testing.T) {
 	e := NewEngine()
 	rng := rand.New(rand.NewSource(3))
 	var fire func()
-	fire = func() { e.After(Time(rng.Intn(16)+1), fire) }
+	fire = func() {
+		d := Time(rng.Intn(16) + 1)
+		if rng.Intn(8) == 0 {
+			d += wheelSize
+		}
+		e.After(d, fire)
+	}
 	for i := 0; i < 256; i++ {
 		e.At(Time(rng.Intn(16)), fire)
 	}
@@ -143,18 +166,24 @@ func TestHeapScheduleStepAllocFree(t *testing.T) {
 	}
 }
 
-// TestHeapPoppedSlotCleared checks that pop zeroes the vacated tail slot so
-// completed closures are not pinned by the slab.
+// TestHeapPoppedSlotCleared checks that popping zeroes every vacated slot,
+// in the wheel's node slab and in the overflow heap, so completed closures are
+// not pinned by the slab.
 func TestHeapPoppedSlotCleared(t *testing.T) {
 	e := NewEngine()
-	e.At(1, func() {})
-	e.At(2, func() {})
-	e.Step()
-	e.Step()
-	for i := 0; i < cap(e.events); i++ {
-		ev := e.events[:cap(e.events)][i]
+	for _, at := range []Time{1, 1, 2, 3 * wheelSize, 3*wheelSize + 1, 5 * wheelSize} {
+		e.At(at, func() {})
+	}
+	for e.Step() {
+	}
+	for i, nd := range e.q.nodes[:cap(e.q.nodes)] {
+		if nd.fn != nil {
+			t.Fatalf("wheel node %d still holds a closure after drain", i)
+		}
+	}
+	for i, ev := range e.q.over[:cap(e.q.over)] {
 		if ev.fn != nil {
-			t.Fatalf("slab slot %d still holds a closure after drain", i)
+			t.Fatalf("overflow slot %d still holds a closure after drain", i)
 		}
 	}
 }

@@ -32,9 +32,12 @@ func NewResource(eng *Engine, name string) *Resource {
 func (r *Resource) Name() string { return r.name }
 
 // Acquire requests the resource for hold cycles starting as soon as it is
-// free (FIFO). grant runs at the cycle the hold begins. Acquire returns the
-// time at which the hold will begin.
-func (r *Resource) Acquire(hold Time, grant func(start Time)) Time {
+// free (FIFO) and returns the cycle at which the hold begins. grant, if
+// non-nil, is scheduled at that cycle, so it reads the start time as the
+// engine's Now; callers that need it earlier use the return value. Taking
+// a plain func lets callers pass callbacks bound once instead of a fresh
+// closure per grant.
+func (r *Resource) Acquire(hold Time, grant func()) Time {
 	now := r.eng.Now()
 	r.noteArrival(now)
 	start := r.freeAt
@@ -46,7 +49,7 @@ func (r *Resource) Acquire(hold Time, grant func(start Time)) Time {
 	r.grants++
 	r.waitTotal += start - now
 	if grant != nil {
-		r.eng.At(start, func() { grant(start) })
+		r.eng.At(start, grant)
 	}
 	return start
 }
@@ -54,7 +57,7 @@ func (r *Resource) Acquire(hold Time, grant func(start Time)) Time {
 // AcquireAt is like Acquire but the request is considered to arrive at the
 // given (current or future) time rather than now. It is used when a model
 // component decides at time t that a resource will be needed at t+d.
-func (r *Resource) AcquireAt(arrive, hold Time, grant func(start Time)) Time {
+func (r *Resource) AcquireAt(arrive, hold Time, grant func()) Time {
 	// On a sharded engine a request drained at a window boundary may carry
 	// an arrival earlier than this shard's local clock (which has already
 	// run ahead within the window); clamping it would change occupancy
@@ -74,7 +77,7 @@ func (r *Resource) AcquireAt(arrive, hold Time, grant func(start Time)) Time {
 	r.grants++
 	r.waitTotal += start - arrive
 	if grant != nil {
-		r.eng.At(start, func() { grant(start) })
+		r.eng.At(start, grant)
 	}
 	return start
 }

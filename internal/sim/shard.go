@@ -240,7 +240,7 @@ func (c *Cluster) LimitHit() bool {
 func (c *Cluster) Pending() int {
 	var n int
 	for _, e := range c.engines {
-		n += len(e.events)
+		n += e.q.n
 	}
 	return n
 }
@@ -333,9 +333,9 @@ func (c *Cluster) worker(shard int) {
 func (c *Cluster) runWindow(e *Engine, shard int, w window) (final report) {
 	final.shard = shard
 	var steps uint64
-	for !e.stopped && len(e.events) > 0 {
-		next := e.events[0].at
-		if next >= w.horizon {
+	for {
+		next, ok := e.peek()
+		if !ok || next >= w.horizon {
 			break
 		}
 		if e.Limit > 0 && next > e.Limit {
@@ -351,11 +351,8 @@ func (c *Cluster) runWindow(e *Engine, shard int, w window) (final report) {
 			steps = 0
 			continue
 		}
-		ev := e.pop()
-		e.now = ev.at
-		e.executed++
+		ev := e.pop(next)
 		steps++
-		e.cur = Ctx{parent: ev.rank, at: ev.at}
 		if pv := runCaptured(ev.fn); pv != nil {
 			final.panicked = true
 			final.pv = pv
@@ -496,11 +493,8 @@ func (c *Cluster) Run(stepCap uint64, onCheck func(executed uint64) error) (Time
 				}
 				continue
 			}
-			if len(e.events) == 0 {
-				continue
-			}
-			if !have || e.events[0].at < t {
-				t, have = e.events[0].at, true
+			if next, ok := e.peek(); ok && (!have || next < t) {
+				t, have = next, true
 			}
 		}
 		if !have || stopAll {

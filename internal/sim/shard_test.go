@@ -486,7 +486,7 @@ func TestClusterMaxPendingAcrossShards(t *testing.T) {
 
 // TestShardSlabReuseAfterDrain covers slab reuse across windows: once a
 // shard has reached its high-water mark, windows of drained cross-shard
-// deliveries must not regrow its heap slab.
+// deliveries must not regrow its queue slab.
 func TestShardSlabReuseAfterDrain(t *testing.T) {
 	const look = 8
 	c := NewCluster(2, look)
@@ -500,7 +500,7 @@ func TestShardSlabReuseAfterDrain(t *testing.T) {
 				return
 			}
 			if hops == 500 { // steady state reached: record slab capacities
-				caps[0], caps[1] = cap(a.events), cap(b.events)
+				caps[0], caps[1] = slabCap(a), slabCap(b)
 			}
 			arr := self.Now() + look
 			self.DeferTo(other, func() {
@@ -517,9 +517,9 @@ func TestShardSlabReuseAfterDrain(t *testing.T) {
 	if caps[0] == 0 {
 		t.Fatal("steady state never reached")
 	}
-	if cap(a.events) != caps[0] || cap(b.events) != caps[1] {
+	if slabCap(a) != caps[0] || slabCap(b) != caps[1] {
 		t.Fatalf("slabs regrew across drains: (%d,%d) -> (%d,%d)",
-			caps[0], caps[1], cap(a.events), cap(b.events))
+			caps[0], caps[1], slabCap(a), slabCap(b))
 	}
 }
 

@@ -161,11 +161,11 @@ func TestResourceFIFOAndStats(t *testing.T) {
 	r := NewResource(e, "bus")
 	var starts []Time
 	e.At(0, func() {
-		r.Acquire(10, func(s Time) { starts = append(starts, s) })
-		r.Acquire(10, func(s Time) { starts = append(starts, s) })
+		r.Acquire(10, func() { starts = append(starts, e.Now()) })
+		r.Acquire(10, func() { starts = append(starts, e.Now()) })
 	})
 	e.At(5, func() {
-		r.Acquire(10, func(s Time) { starts = append(starts, s) })
+		r.Acquire(10, func() { starts = append(starts, e.Now()) })
 	})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -196,7 +196,9 @@ func TestResourceAcquireAt(t *testing.T) {
 	r := NewResource(e, "bank")
 	var start Time = -1
 	e.At(0, func() {
-		r.AcquireAt(100, 10, func(s Time) { start = s })
+		if got := r.AcquireAt(100, 10, func() { start = e.Now() }); got != 100 {
+			t.Errorf("AcquireAt returned start %d, want 100", got)
+		}
 	})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -237,7 +239,8 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 			at += Time(h % 7)
 			thisAt := at
 			e.At(thisAt, func() {
-				r.Acquire(h, func(s Time) {
+				r.Acquire(h, func() {
+					s := e.Now()
 					grants = append(grants, grant{s, s + h})
 				})
 			})

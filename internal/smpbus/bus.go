@@ -108,7 +108,11 @@ type Outcome struct {
 }
 
 // Txn is one bus transaction. Create with fields set and hand to Issue; the
-// bus invokes Done exactly once.
+// bus invokes Done exactly once per Issue. An issuer may re-issue the same
+// Txn after its Done has run (a processor owns one for its outstanding
+// miss and reuses it across bus retries and misses): the bus binds its
+// per-transaction callbacks once per Txn, so a re-issue allocates nothing.
+// A Txn is only ever issued on one bus.
 type Txn struct {
 	ID   uint64
 	Kind Kind
@@ -135,6 +139,15 @@ type Txn struct {
 	// Done receives the outcome. It runs at the completion cycle.
 	Done func(Outcome)
 
+	// hook is the completion hook set by OnComplete; Issue clears it.
+	hook func()
+	// out is the outcome the scheduled completion delivers.
+	out Outcome
+	// Callbacks bound to this transaction on first use (address grant,
+	// strobe, completion, bounce), so re-issues schedule without
+	// allocating.
+	grantFn, strobeFn, finishFn, bounceFn func()
+
 	// supplyFor links an internal deferred-reply transaction to the parked
 	// transaction it completes.
 	supplyFor *Txn
@@ -149,6 +162,30 @@ type Txn struct {
 	// past them (the controller's MSHR-fill check covers the actual
 	// data-transfer window).
 	deferredToCC bool
+}
+
+// OnComplete sets fn to run right after Done when the current issue of the
+// transaction completes. The coherence controller uses it to retire its own
+// bookkeeping once a deferred reply has delivered the line. The hook lasts
+// for one completion: Issue clears it, so a reused Txn never carries a
+// previous episode's hook, and setting a second hook on one issue panics.
+func (t *Txn) OnComplete(fn func()) {
+	if t.hook != nil {
+		panic(fmt.Sprintf("smpbus: second completion hook on %v line %#x", t.Kind, t.Line))
+	}
+	t.hook = fn
+}
+
+// deliver runs Done with the scheduled outcome, then the completion hook.
+// The hook is taken before Done runs, because Done may re-issue the
+// transaction, which clears it.
+func (t *Txn) deliver() {
+	hook := t.hook
+	t.hook = nil
+	t.Done(t.out)
+	if hook != nil {
+		hook()
+	}
 }
 
 // SnoopResult is a snooping agent's verdict at address-strobe time.
@@ -296,8 +333,8 @@ func (b *Bus) Stall(dur sim.Time) {
 		return
 	}
 	b.stalls++
-	b.addr.Acquire(dur, func(sim.Time) {})
-	b.data.Acquire(dur, func(sim.Time) {})
+	b.addr.Acquire(dur, func() {})
+	b.data.Acquire(dur, func() {})
 }
 
 // Stalls returns the number of injected bus outages.
@@ -347,6 +384,13 @@ func (b *Bus) Issue(txn *Txn) {
 	}
 	b.nextID++
 	txn.ID = b.nextID
+	txn.hook = nil
+	txn.deferredToCC = false
+	txn.snoopData = 0
+	if txn.grantFn == nil {
+		txn.strobeFn = func() { b.strobe(txn) }
+		txn.grantFn = func() { b.eng.At(b.eng.Now()+b.cfg.BusArb, txn.strobeFn) }
+	}
 	b.spans.SpanBegin(txn.Attr, obs.StageBusArb, 0, b.eng.Now())
 	if txn.Kind == WriteBack && txn.HomeLocal {
 		// The line enters the write-back buffer now; any read serialized
@@ -356,9 +400,7 @@ func (b *Bus) Issue(txn *Txn) {
 		// data phase would return stale memory.
 		b.mem[txn.Line] = txn.Data
 	}
-	b.addr.Acquire(b.cfg.AddrStrobe, func(start sim.Time) {
-		b.eng.At(start+b.cfg.BusArb, func() { b.strobe(txn) })
-	})
+	b.addr.Acquire(b.cfg.AddrStrobe, txn.grantFn)
 }
 
 // strobe runs at address-strobe time: conflict check, snoop, resolution.
@@ -541,7 +583,8 @@ func (b *Bus) resolveReadEx(txn *Txn, now sim.Time, owned, deferred bool) {
 
 func (b *Bus) resolveWriteBack(txn *Txn, now sim.Time, sharedLeft bool) {
 	// Data crosses the bus starting two cycles after the strobe.
-	b.data.AcquireAt(now+2, b.cfg.BusDataTime(), func(ds sim.Time) {
+	b.data.AcquireAt(now+2, b.cfg.BusDataTime(), func() {
+		ds := b.eng.Now()
 		end := ds + b.cfg.BusDataTime()
 		if txn.HomeLocal {
 			// Memory bank absorbs the line (its shadow value was already
@@ -590,7 +633,8 @@ func (b *Bus) resolveFetch(txn *Txn, now sim.Time, owned, sharedSeen bool) {
 // word.
 func (b *Bus) memoryRead(txn *Txn, now sim.Time, out Outcome) {
 	out.Data = b.mem[txn.Line]
-	b.bank(txn.Line).AcquireAt(now, b.cfg.BankBusy, func(bankStart sim.Time) {
+	b.bank(txn.Line).AcquireAt(now, b.cfg.BankBusy, func() {
+		bankStart := b.eng.Now()
 		b.spans.SpanEnd(txn.Attr, obs.StageMem, 0, bankStart+b.cfg.MemAccess)
 		b.transferData(txn, bankStart+b.cfg.MemAccess, out)
 	})
@@ -599,28 +643,44 @@ func (b *Bus) memoryRead(txn *Txn, now sim.Time, out Outcome) {
 // transferData moves a line over the data bus beginning no earlier than
 // ready, completing the transaction at the critical-quad-word arrival.
 func (b *Bus) transferData(txn *Txn, ready sim.Time, out Outcome) {
-	b.data.AcquireAt(ready, b.cfg.BusDataTime(), func(ds sim.Time) {
-		b.complete(txn, ds+b.cfg.CriticalQuad, out)
+	b.data.AcquireAt(ready, b.cfg.BusDataTime(), func() {
+		b.complete(txn, b.eng.Now()+b.cfg.CriticalQuad, out)
 	})
 }
 
 // bounce rejects a strobed transaction with RetryNeeded two cycles later
 // (the conflict-resolution window), attributing the window to the bus.
+// A bounced transaction never registered in the pending table, so it has
+// no entry to clear.
 func (b *Bus) bounce(txn *Txn, now sim.Time) {
 	b.retries++
 	b.spans.SpanEnd(txn.Attr, obs.StageBus, 0, now+2)
-	b.eng.After(2, func() { txn.Done(Outcome{Status: RetryNeeded}) })
+	if txn.bounceFn == nil {
+		txn.bounceFn = txn.deliver
+	}
+	txn.out = Outcome{Status: RetryNeeded}
+	b.eng.After(2, txn.bounceFn)
 }
 
 // complete removes the pending entry and fires Done at time t.
 func (b *Bus) complete(txn *Txn, t sim.Time, out Outcome) {
 	b.spans.SpanEnd(txn.Attr, obs.StageBus, 0, t)
-	b.eng.At(t, func() {
-		if b.pending[txn.Line] == txn {
-			delete(b.pending, txn.Line)
+	b.finishAt(txn, t, out)
+}
+
+// finishAt schedules txn's completion with outcome out at time t: the
+// pending entry is cleared, then Done and the completion hook run.
+func (b *Bus) finishAt(txn *Txn, t sim.Time, out Outcome) {
+	if txn.finishFn == nil {
+		txn.finishFn = func() {
+			if b.pending[txn.Line] == txn {
+				delete(b.pending, txn.Line)
+			}
+			txn.deliver()
 		}
-		txn.Done(out)
-	})
+	}
+	txn.out = out
+	b.eng.At(t, txn.finishFn)
 }
 
 // Supply completes a previously deferred transaction. withData selects a
@@ -648,8 +708,8 @@ func (b *Bus) resolveSupply(s *Txn, now sim.Time) {
 	parked := s.supplyFor
 	out := Outcome{Status: OK, Shared: s.shared, WithData: s.withData, Data: s.Data}
 	if s.withData {
-		b.data.AcquireAt(now+2, b.cfg.BusDataTime(), func(ds sim.Time) {
-			b.complete(parked, ds+b.cfg.CriticalQuad, out)
+		b.data.AcquireAt(now+2, b.cfg.BusDataTime(), func() {
+			b.complete(parked, b.eng.Now()+b.cfg.CriticalQuad, out)
 		})
 		return
 	}
@@ -661,10 +721,5 @@ func (b *Bus) resolveSupply(s *Txn, now sim.Time) {
 // an upgrade whose line was invalidated while queued).
 func (b *Bus) Abort(parked *Txn) {
 	b.spans.SpanEnd(parked.Attr, obs.StageBus, 0, b.eng.Now()+2)
-	b.eng.After(2, func() {
-		if b.pending[parked.Line] == parked {
-			delete(b.pending, parked.Line)
-		}
-		parked.Done(Outcome{Status: RetryNeeded})
-	})
+	b.finishAt(parked, b.eng.Now()+2, Outcome{Status: RetryNeeded})
 }
