@@ -5,12 +5,17 @@ package obs_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"ccnuma/internal/config"
 	"ccnuma/internal/machine"
 	"ccnuma/internal/obs"
+	"ccnuma/internal/stats"
 	"ccnuma/internal/workload"
 )
 
@@ -140,4 +145,112 @@ func TestTracedRunDeterministic(t *testing.T) {
 			t.Fatalf("event %d differs between identical runs:\n%s\n%s", i, e1[i].Text(), e2[i].Text())
 		}
 	}
+
+	// Golden pin: a traced and attributed serial run with forced NACKs
+	// (so nack events and back-off spans occur) must reproduce these
+	// digests of its event stream, its Chrome export and its attribution
+	// aggregate exactly. A change to the instrumentation plumbing that
+	// moves any event, field or attributed cycle breaks them.
+	const (
+		wantEvents      = "3a610ea9d11666f1bda5c3be5b7e5a890770554c3892c3a51b07e5e5bcacb811"
+		wantChrome      = "6f01728dd0e495502f06501a9f731c1aba5944422bb5f761ff2dac995e29c219"
+		wantAttribution = "e196c8ac5210c1a1584dcbb021e4dc3f1f009eac67a3eafab2eb24624f0746b0"
+	)
+	tr := obs.NewTracer(obs.WithBuffer(1 << 20))
+	attr := runGolden(t, tr)
+	if tr.Dropped() != 0 {
+		t.Fatalf("golden run overflowed the ring: %d events dropped", tr.Dropped())
+	}
+	evs := tr.Events()
+	kinds := map[obs.EventKind]int{}
+	eh := sha256.New()
+	for i := range evs {
+		ev := &evs[i]
+		kinds[ev.Kind]++
+		fmt.Fprintf(eh, "%d|%d|%d|%d|%d|%d|%d|%d|%q|%q\n",
+			ev.At, ev.Dur, ev.Kind, ev.Node, ev.Track, ev.Line, ev.A, ev.B, ev.Name, ev.Aux)
+	}
+	for _, k := range []obs.EventKind{obs.EvNack, obs.EvSpan} {
+		if kinds[k] == 0 {
+			t.Errorf("golden run recorded no %v events", k)
+		}
+	}
+	backoff := false
+	for i := range evs {
+		if evs[i].Kind == obs.EvSpan && evs[i].Name == obs.StageBackoff.String() {
+			backoff = true
+			break
+		}
+	}
+	if !backoff {
+		t.Error("golden run recorded no NACK back-off span")
+	}
+	var chrome bytes.Buffer
+	if err := obs.WriteChromeTrace(&chrome, evs); err != nil {
+		t.Fatal(err)
+	}
+	attrJSON, err := json.Marshal(attr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []struct{ name, got, want string }{
+		{"events", hex.EncodeToString(eh.Sum(nil)), wantEvents},
+		{"chrome", digest(chrome.Bytes()), wantChrome},
+		{"attribution", digest(attrJSON), wantAttribution},
+	} {
+		if d.got != d.want {
+			t.Errorf("golden %s digest = %s, want %s", d.name, d.got, d.want)
+		}
+	}
+
+	// Attribution alone (no ring, no sink) must aggregate identically.
+	if only := runGolden(t, nil); !reflect.DeepEqual(only, attr) {
+		t.Errorf("attribution-only run differs from the traced run:\n%+v\n%+v", only, attr)
+	}
+}
+
+func digest(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// runGolden runs fft at test size on a robust 4x2 HWC machine with
+// attribution on, recording into tr (nil for an attribution-only run), with
+// every controller armed to bounce its next two NACKable requests. It
+// returns the run's attribution aggregate.
+func runGolden(t *testing.T, tr *obs.Tracer) *stats.Attribution {
+	t.Helper()
+	cfg, err := config.Base().WithArch("HWC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Nodes, cfg.ProcsPerNode = 4, 2
+	cfg.SimLimit = 2_000_000_000
+	cfg = cfg.WithRobustness()
+	cfg.Attribution = true
+	m, err := machine.NewTraced(cfg, "fft", tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cc := range m.CCs {
+		cc.ForceNackNext(2)
+	}
+	w, err := workload.New("fft", workload.SizeTest, m.NProcs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Setup(m); err != nil {
+		t.Fatal(err)
+	}
+	r, err := m.Run(w.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Attribution == nil || r.Attribution.Completed == 0 {
+		t.Fatal("golden run aggregated no attributed transactions")
+	}
+	return r.Attribution
 }
