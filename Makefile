@@ -79,11 +79,17 @@ scenario:
 # per-transaction attribution on must complete (machine.Run fails the run
 # if the stage spans do not partition the end-to-end latencies exactly)
 # and its artifact must carry the attribution section of the
-# ccnuma-run/v1 schema.
+# ccnuma-run/v1 schema. The same kernel traced through a sink with
+# attribution on must then stream the first transaction's seven span
+# events, ending in its 36-cycle finish.
 attribution:
 	@tmp="$$(mktemp -d)"; \
 	$(GO) run ./cmd/ccsim -app fft -arch HWC -nodes 4 -ppn 2 -size test -attribution -json "$$tmp/attr.json" >/dev/null && \
-	grep -q '"attribution"' "$$tmp/attr.json" && echo "attribution: conservation + schema OK"; \
+	grep -q '"attribution"' "$$tmp/attr.json" && \
+	$(GO) run ./cmd/cctrace -app fft -arch HWC -nodes 4 -ppn 2 -size test -txn 0x100000001 2>/dev/null >"$$tmp/spans.txt" && \
+	test "$$(grep -c ' span txn=0x100000001 ' "$$tmp/spans.txt")" = 7 && \
+	tail -n 1 "$$tmp/spans.txt" | grep -q 'span txn=0x100000001 done line=0x1000 total=36 cycles$$' && \
+	echo "attribution: conservation + schema + span stream OK"; \
 	status=$$?; rm -rf "$$tmp"; exit $$status
 
 # serve-smoke exercises the experiment service end to end through real
@@ -149,4 +155,4 @@ tables:
 
 clean:
 	$(GO) clean
-	rm -f ccsim ccsweep cctables cctrace ccchaos
+	rm -f ccchaos cclint ccmodel ccserved ccsim ccsubmit ccsweep cctables cctrace ccverify

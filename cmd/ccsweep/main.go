@@ -150,21 +150,7 @@ func run(cfg config.Config, app string, size workload.SizeClass, seed int64) (*s
 	if err != nil {
 		return nil, err
 	}
-	w, err := workload.NewSeeded(app, size, m.NProcs(), seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.Setup(m); err != nil {
-		return nil, err
-	}
-	r, err := m.Run(w.Body)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.Verify(); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return workload.Run(m, app, size, seed)
 }
 
 func fatal(err error) {

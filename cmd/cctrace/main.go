@@ -78,7 +78,7 @@ func main() {
 			fatal(fmt.Errorf("bad -txn %q: %w", *txnHex, err))
 		}
 		wantTxn, txnFiltered = v, true
-		cfg.Attribution = true // span events only exist with the tracker on
+		cfg.Attribution = true // span events only exist with attribution on
 	}
 
 	out := bufio.NewWriter(os.Stdout)
@@ -107,14 +107,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	w, err := workload.New(*app, size, m.NProcs())
-	if err != nil {
-		fatal(err)
-	}
-	if err := w.Setup(m); err != nil {
-		fatal(err)
-	}
-	r, err := m.Run(w.Body)
+	r, err := workload.Run(m, *app, size, 0)
 	if err != nil {
 		out.Flush()
 		fatal(err)

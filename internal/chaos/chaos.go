@@ -215,21 +215,7 @@ func (c *Campaign) runSchedule(name string, sch *fault.Schedule) (r *stats.Run, 
 // Machine.Run itself enforces processor completion, zero transient protocol
 // ops, and the global coherence invariants on the quiesced machine.
 func (c *Campaign) runKernel(m *machine.Machine, name string) (*stats.Run, error) {
-	w, err := workload.NewSeeded(name, c.Size, m.NProcs(), c.BaseSeed)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.Setup(m); err != nil {
-		return nil, err
-	}
-	r, err := m.Run(w.Body)
-	if err != nil {
-		return nil, err
-	}
-	if err := w.Verify(); err != nil {
-		return nil, fmt.Errorf("verification failed: %w", err)
-	}
-	return r, nil
+	return workload.Run(m, name, c.Size, c.BaseSeed)
 }
 
 func renderApplied(applied map[string]uint64) string {

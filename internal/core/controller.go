@@ -51,6 +51,16 @@ func (w *work) label() string {
 	return w.msg.Type.String()
 }
 
+// spanTxn resolves the causal-span identity of queued work: deferred bus
+// transactions carry the requester's episode ID with no epoch; network
+// messages echo both the ID and the request epoch.
+func (w *work) spanTxn() (uint64, uint32) {
+	if w.txn != nil {
+		return w.txn.Attr, 0
+	}
+	return w.msg.Txn, w.msg.Epoch
+}
+
 // homeOp is a transient home-node operation on a local line.
 type homeOp struct {
 	line      uint64
@@ -132,7 +142,7 @@ type Controller struct {
 	dir   *directory.Directory
 	space *memaddr.Space
 	st    *stats.ControllerStats
-	tr    *obs.Tracer // nil when tracing is disabled
+	tr    *obs.Tracer // nil when tracing and attribution are off
 
 	// kind is this node's protocol-engine implementation; on heterogeneous
 	// machines (Config.NodeArchs) it differs per controller, so occupancy
@@ -150,9 +160,6 @@ type Controller struct {
 	// epochCtr mints request-episode tags for outgoing ReadReq/ReadExReq
 	// (see protocol.Msg.Epoch).
 	epochCtr uint32
-
-	// spans is the latency-attribution tracker (nil when attribution is off).
-	spans *obs.SpanTracker
 
 	// hook observes dispatches and sends for the model conformance harness
 	// (nil in normal runs). curTrigger/curHandler identify the dispatch in
@@ -207,10 +214,6 @@ func New(eng *sim.Engine, cfg *config.Config, node int, bus *smpbus.Bus,
 	net.Attach(node, cc.deliver)
 	return cc
 }
-
-// AttachSpans attaches the latency-attribution span tracker (nil keeps
-// attribution disabled).
-func (cc *Controller) AttachSpans(sp *obs.SpanTracker) { cc.spans = sp }
 
 // HandlerCount returns how many times handler h was dispatched.
 func (cc *Controller) HandlerCount(h protocol.Handler) uint64 {
@@ -408,10 +411,7 @@ func (cc *Controller) AcceptDeferred(txn *smpbus.Txn) {
 	}
 	w := &work{arrival: cc.eng.Now(), txn: txn}
 	cc.st.NoteArrival(w.arrival)
-	e.busQ = append(e.busQ, w)
-	cc.tr.Enqueue(w.arrival, cc.node, e.idx, obs.QBus, len(e.busQ), txn.Kind.String(), txn.Line)
-	cc.spans.SpanBegin(txn.Attr, obs.StageCCQueue, 0, w.arrival)
-	e.kick()
+	e.enqueue(w)
 }
 
 // CaptureWriteBack implements the direct data path: a dirty-remote
@@ -449,10 +449,6 @@ func (cc *Controller) deliver(src int, payload interface{}) {
 				m.responseArrived = true
 			}
 		}
-		cc.st.NoteArrival(w.arrival)
-		e.respQ = append(e.respQ, w)
-		cc.tr.Enqueue(w.arrival, cc.node, e.idx, obs.QResp, len(e.respQ), msg.Type.String(), msg.Line)
-		cc.spans.SpanBegin(msg.Txn, obs.StageCCQueue, msg.Epoch, w.arrival)
 	} else {
 		// Finite request queue: a NACKable request arriving at a full
 		// queue is bounced straight back by the NI, without consuming a
@@ -473,12 +469,9 @@ func (cc *Controller) deliver(src int, payload interface{}) {
 			})
 			return
 		}
-		cc.st.NoteArrival(w.arrival)
-		e.reqQ = append(e.reqQ, w)
-		cc.tr.Enqueue(w.arrival, cc.node, e.idx, obs.QReq, len(e.reqQ), msg.Type.String(), msg.Line)
-		cc.spans.SpanBegin(msg.Txn, obs.StageCCQueue, msg.Epoch, w.arrival)
 	}
-	e.kick()
+	cc.st.NoteArrival(w.arrival)
+	e.enqueue(w)
 }
 
 // StallEngine occupies an idle protocol engine for dur cycles (fault
@@ -525,6 +518,27 @@ func (e *engine) queueLen() int {
 		n++
 	}
 	return n
+}
+
+// enqueue appends w to the input queue its kind selects — deferred bus
+// transactions to busQ, network responses to respQ, network requests to
+// reqQ — records the insertion, opens w's controller-queue span, and
+// kicks the engine.
+func (e *engine) enqueue(w *work) {
+	q, queue := obs.QReq, &e.reqQ
+	switch {
+	case w.txn != nil:
+		q, queue = obs.QBus, &e.busQ
+	case w.msg.IsResponse():
+		q, queue = obs.QResp, &e.respQ
+	}
+	*queue = append(*queue, w)
+	if cc := e.cc; cc.tr != nil {
+		cc.tr.Enqueue(w.arrival, cc.node, e.idx, q, len(*queue), w.label(), cc.lineOf(w))
+		txn, epoch := w.spanTxn()
+		cc.tr.SpanBegin(txn, obs.StageCCQueue, epoch, w.arrival)
+	}
+	e.kick()
 }
 
 // kick starts a dispatch if the engine is idle and work is queued.
@@ -622,10 +636,9 @@ func (e *engine) dispatch(w *work) {
 	est.Dispatches++
 	est.QueueDelay += now - w.arrival
 	est.QueueDelayHist.Add(now - w.arrival)
-	if w.txn != nil {
-		cc.spans.SpanEnd(w.txn.Attr, obs.StageCCQueue, 0, now)
-	} else {
-		cc.spans.SpanEnd(w.msg.Txn, obs.StageCCQueue, w.msg.Epoch, now)
+	if cc.tr != nil {
+		txn, epoch := w.spanTxn()
+		cc.tr.SpanEnd(txn, obs.StageCCQueue, epoch, now)
 	}
 
 	e.busy = true
@@ -645,7 +658,7 @@ func (e *engine) dispatch(w *work) {
 		panic("core: handler with non-positive occupancy")
 	}
 	est.Busy += occ
-	if cc.tr != nil {
+	if cc.tr.Enabled() {
 		cc.tr.Dispatch(now, cc.node, e.idx, w.label(), cc.lineOf(w), occ, now-w.arrival)
 	}
 	cc.eng.At(now+occ, func() {
@@ -703,23 +716,8 @@ func (cc *Controller) requeue(list *[]*work, w *work) sim.Time {
 // replay re-enqueues parked work after the blocking state cleared.
 func (cc *Controller) replay(ws []*work) {
 	for _, w := range ws {
-		w := w
 		w.arrival = cc.eng.Now()
-		e := cc.engineFor(cc.lineOf(w))
-		if w.txn != nil {
-			e.busQ = append(e.busQ, w)
-			cc.tr.Enqueue(w.arrival, cc.node, e.idx, obs.QBus, len(e.busQ), w.label(), w.txn.Line)
-			cc.spans.SpanBegin(w.txn.Attr, obs.StageCCQueue, 0, w.arrival)
-		} else if w.msg.IsResponse() {
-			e.respQ = append(e.respQ, w)
-			cc.tr.Enqueue(w.arrival, cc.node, e.idx, obs.QResp, len(e.respQ), w.label(), w.msg.Line)
-			cc.spans.SpanBegin(w.msg.Txn, obs.StageCCQueue, w.msg.Epoch, w.arrival)
-		} else {
-			e.reqQ = append(e.reqQ, w)
-			cc.tr.Enqueue(w.arrival, cc.node, e.idx, obs.QReq, len(e.reqQ), w.label(), w.msg.Line)
-			cc.spans.SpanBegin(w.msg.Txn, obs.StageCCQueue, w.msg.Epoch, w.arrival)
-		}
-		e.kick()
+		cc.engineFor(cc.lineOf(w)).enqueue(w)
 	}
 }
 

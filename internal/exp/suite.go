@@ -246,18 +246,8 @@ func simulateDetached(req runReq, collectArtifact bool) (*stats.Run, *obs.Artifa
 	if err != nil {
 		return nil, nil, err
 	}
-	w, err := workload.New(req.app, req.size, m.NProcs())
+	r, err := workload.Run(m, req.app, req.size, 0)
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := w.Setup(m); err != nil {
-		return nil, nil, err
-	}
-	r, err := m.Run(w.Body)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := w.Verify(); err != nil {
 		return nil, nil, err
 	}
 	var art *obs.Artifact

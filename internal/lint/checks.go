@@ -567,9 +567,9 @@ func fieldStruct(t types.Type, in *types.Package) (*types.Named, bool) {
 }
 
 // checkSpanPairs enforces the span checkpoint pairing rule: a handler file
-// that marks a transaction's entry into an attribution stage (SpanBegin
-// with a named obs.Stage constant) must also contain a SpanEnd checkpoint
-// for the same stage constant. A begin with no end in its file means the
+// that marks a transaction's entry into an attribution stage
+// (obs.Tracer.SpanBegin with a named obs.Stage constant) must also contain
+// a SpanEnd checkpoint for the same stage constant. A begin with no end in its file means the
 // component announces a stage it never closes, so the stage's cycles
 // silently fold into whatever checkpoint happens to come next. SpanEnd
 // without SpanBegin is legal — several stages are measured end-only because
@@ -599,7 +599,7 @@ func checkSpanPairs(pkg *Package) []Finding {
 			}
 			named, isNamed := recv.(*types.Named)
 			if !isNamed || named.Obj().Pkg() == nil ||
-				named.Obj().Pkg().Path() != "ccnuma/internal/obs" || named.Obj().Name() != "SpanTracker" {
+				named.Obj().Pkg().Path() != "ccnuma/internal/obs" || named.Obj().Name() != "Tracer" {
 				return true
 			}
 			if len(call.Args) < 2 {

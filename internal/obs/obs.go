@@ -1,17 +1,21 @@
 // Package obs is the structured observability layer of the simulator: typed
-// protocol trace events, a simulated-time metrics sampler, and versioned
-// machine-readable run artifacts. The timing model records events through a
-// *Tracer handle that is nil when tracing is disabled; every recording
+// protocol trace events, per-transaction latency attribution, a
+// simulated-time metrics sampler, and versioned machine-readable run
+// artifacts. Every model component holds one instrumentation handle, a
+// *Tracer, that is nil when both tracing and attribution are off; every
 // method begins with a nil-receiver check, so the disabled path costs one
-// branch and zero allocations. The single-goroutine simulation discipline
-// (all model code runs on the engine goroutine) means one ring buffer per
-// Tracer suffices; Tracer is not safe for concurrent use.
+// branch and zero allocations. Typed events are recorded from one goroutine
+// at a time (a recording tracer is refused under sharding), so one ring
+// buffer per Tracer suffices; the attribution state is mutex-guarded and
+// may be shared by shard workers.
 package obs
 
 import (
 	"fmt"
+	"sync"
 
 	"ccnuma/internal/sim"
+	"ccnuma/internal/stats"
 )
 
 // EventKind identifies the typed trace-event vocabulary.
@@ -95,19 +99,21 @@ func QueueName(q int) string {
 }
 
 // TraceDescriber lets payloads that are opaque to a carrier (the network
-// sees only interface{}) describe themselves for tracing.
+// sees only interface{}) describe themselves for tracing and span
+// checkpointing: a trace label, the cache line, and the transaction ID and
+// episode epoch of the coherence transaction the payload serves.
 type TraceDescriber interface {
-	TraceName() string
-	TraceLine() uint64
+	TraceDesc() (name string, line, txn uint64, epoch uint32)
 }
 
-// DescribePayload extracts a trace label and line from an opaque payload,
-// returning zero values when the payload cannot describe itself.
-func DescribePayload(p interface{}) (string, uint64) {
+// DescribePayload describes an opaque payload, returning zero values when
+// the payload cannot describe itself (fault-wrapped frames, raw test
+// payloads), which leaves it unlabelled and never checkpointed.
+func DescribePayload(p interface{}) (name string, line, txn uint64, epoch uint32) {
 	if d, ok := p.(TraceDescriber); ok {
-		return d.TraceName(), d.TraceLine()
+		return d.TraceDesc()
 	}
-	return "", 0
+	return "", 0, 0, 0
 }
 
 // Event is one typed trace record. The struct is fixed-size and string
@@ -128,9 +134,13 @@ type Event struct {
 	Aux   string // secondary label (cache state for EvCache), often empty
 }
 
-// Tracer records typed events into a fixed-capacity ring buffer and/or
-// streams them to a sink. A nil *Tracer is the disabled tracer: every
-// recording method no-ops after one nil check.
+// Tracer is the instrumentation handle of the timing model. It records
+// typed events into a fixed-capacity ring buffer and/or streams them to a
+// sink, and, once EnableAttribution is called, tiles every coherence
+// transaction's lifetime into stage spans (span.go). A nil *Tracer is the
+// disabled handle: every method no-ops after one nil check. A tracer with
+// neither ring nor sink records no typed events at all, not even their
+// count, so an attribution-only tracer touches no event state.
 type Tracer struct {
 	ring []Event
 	next uint64 // total events recorded (ring index = next % len(ring))
@@ -139,6 +149,21 @@ type Tracer struct {
 	// stack variable's address keeps record() allocation-free (a local whose
 	// address reaches an unknown function would escape to the heap).
 	scratch Event
+
+	// Attribution state; open is nil until EnableAttribution. mu guards the
+	// open-transaction map and the aggregates: under -shards, checkpoints
+	// for different transactions arrive from different shard workers. Any
+	// one transaction's checkpoints are never concurrent (its lifecycle
+	// events are causally chained at least one lookahead apart), and every
+	// aggregate is an order-independent sum, so the lock protects memory
+	// without affecting the aggregated results.
+	mu         sync.Mutex
+	open       map[uint64]*spanState
+	stages     [numStages]stats.Histogram
+	totals     [numStages]sim.Time
+	endToEnd   stats.Histogram
+	completed  uint64
+	violations uint64
 }
 
 // Option configures a Tracer.
@@ -162,7 +187,7 @@ func WithSink(fn func(*Event)) Option {
 	return func(t *Tracer) { t.sink = fn }
 }
 
-// NewTracer creates an enabled tracer.
+// NewTracer creates a tracer. Attribution starts off (EnableAttribution).
 func NewTracer(opts ...Option) *Tracer {
 	t := &Tracer{ring: make([]Event, 1<<18)}
 	for _, o := range opts {
@@ -171,8 +196,9 @@ func NewTracer(opts ...Option) *Tracer {
 	return t
 }
 
-// Enabled reports whether the tracer records events.
-func (t *Tracer) Enabled() bool { return t != nil }
+// Enabled reports whether the tracer records typed events (it has a ring
+// or a sink).
+func (t *Tracer) Enabled() bool { return t != nil && (t.ring != nil || t.sink != nil) }
 
 // Recorded returns the total number of events recorded (including any that
 // have been overwritten in the ring).
@@ -210,8 +236,13 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// record appends an event to the ring and/or sink.
+// record appends an event to the ring and/or sink. A tracer with neither
+// writes nothing, not even the event count: shard workers may share an
+// attribution-only tracer.
 func (t *Tracer) record(ev Event) {
+	if t.ring == nil && t.sink == nil {
+		return
+	}
 	if t.sink != nil {
 		t.scratch = ev
 		t.sink(&t.scratch)
@@ -325,10 +356,10 @@ func (t *Tracer) Fault(at sim.Time, node int, kind string, arg int64) {
 	t.record(Event{At: at, Kind: EvFault, Node: int32(node), A: arg, Name: kind})
 }
 
-// Span records a latency-attribution checkpoint of one transaction; stage
+// span records a latency-attribution checkpoint of one transaction; stage
 // is the stage name (a constant-table string), txn the transaction ID, and
 // mark the marker kind (see EvSpan).
-func (t *Tracer) Span(at, dur sim.Time, node int, stage string, line uint64, txn uint64, mark int64) {
+func (t *Tracer) span(at, dur sim.Time, node int, stage string, line uint64, txn uint64, mark int64) {
 	if t == nil {
 		return
 	}

@@ -1,7 +1,7 @@
 // Causal span tracing: every coherence transaction (one processor miss
 // episode) carries a stable ID from the cycle its miss is detected to the
 // cycle its processor restarts, and each component it crosses checkpoints
-// the stages of its life. The tracker tiles each transaction's lifetime
+// the stages of its life. The tracer tiles each transaction's lifetime
 // with half-open stage segments: a checkpoint at cycle t closes the
 // interval [cursor, t) under the named stage and advances the cursor, so
 // the stages of a completed transaction always partition its end-to-end
@@ -9,14 +9,15 @@
 // between the last checkpoint and the processor restart is attributed to
 // the fill stage. Checkpoints that would move the cursor backwards (stale
 // duplicates, replayed messages under fault injection) are silent no-ops;
-// the only conservation violation the tracker can record is a transaction
+// the only conservation violation the tracer can record is a transaction
 // finishing before its own cursor, which would mean a component
-// checkpointed time the processor never observed.
+// checkpointed time the processor never observed. The tiling state lives in
+// the Tracer, so every component reaches attribution through the same
+// handle it records typed events with.
 package obs
 
 import (
 	"fmt"
-	"sync"
 
 	"ccnuma/internal/sim"
 	"ccnuma/internal/stats"
@@ -84,23 +85,6 @@ const NumStages = int(numStages)
 // StageName returns the report name of stage index i.
 func StageName(i int) string { return Stage(i).String() }
 
-// SpanDescriber lets payloads that are opaque to a carrier (the network
-// sees only interface{}) expose their transaction ID and episode epoch for
-// span checkpointing. Payloads that do not implement it (fault-wrapped
-// frames, raw test payloads) are simply not checkpointed.
-type SpanDescriber interface {
-	SpanTxn() (txn uint64, epoch uint32)
-}
-
-// DescribeSpan extracts (txn, epoch) from an opaque payload, returning
-// zeros when the payload cannot describe itself.
-func DescribeSpan(p interface{}) (uint64, uint32) {
-	if d, ok := p.(SpanDescriber); ok {
-		return d.SpanTxn()
-	}
-	return 0, 0
-}
-
 // EvSpan marker kinds (Event.B).
 const (
 	spanMarkBegin  = 0 // stage entry marker, Dur = 0
@@ -118,73 +102,53 @@ type spanState struct {
 	segs   [numStages]sim.Time
 }
 
-// SpanTracker assigns stage segments to open transactions and aggregates
-// completed ones into per-stage latency distributions. Like *Tracer, a nil
-// *SpanTracker is the disabled tracker: every method no-ops after one nil
-// check, so call sites need no attribution-knob branches and the disabled
-// path leaves event order untouched.
-type SpanTracker struct {
-	tr *Tracer // optional: emits EvSpan trace events (may be nil)
-
-	// mu guards the open-transaction map and the aggregates: under -shards,
-	// checkpoints for different transactions arrive from different shard
-	// workers. Any one transaction's checkpoints are never concurrent (its
-	// lifecycle events are causally chained at least one lookahead apart),
-	// and every aggregate is an order-independent sum, so the lock protects
-	// memory without affecting the aggregated results.
-	mu   sync.Mutex
-	open map[uint64]*spanState
-
-	stages     [numStages]stats.Histogram
-	totals     [numStages]sim.Time
-	endToEnd   stats.Histogram
-	completed  uint64
-	violations uint64
+// EnableAttribution turns on per-transaction latency attribution: from
+// now on the span methods below tile transaction lifetimes and aggregate
+// them. It must be called before the run starts.
+func (t *Tracer) EnableAttribution() {
+	if t.open == nil {
+		t.open = make(map[uint64]*spanState)
+	}
 }
 
-// NewSpanTracker creates an enabled tracker. tr may be nil to aggregate
-// without emitting trace events.
-func NewSpanTracker(tr *Tracer) *SpanTracker {
-	return &SpanTracker{tr: tr, open: make(map[uint64]*spanState)}
-}
+// Attributing reports whether the tracer attributes transaction latency.
+// Every span method below is a no-op when it reports false.
+func (t *Tracer) Attributing() bool { return t != nil && t.open != nil }
 
-// Enabled reports whether the tracker records spans.
-func (s *SpanTracker) Enabled() bool { return s != nil }
-
-// Start opens transaction txn at time at: the requesting processor detected
-// a miss on line. An ID of zero (untracked work) is ignored.
-func (s *SpanTracker) Start(txn uint64, node int, line uint64, at sim.Time) {
-	if s == nil || txn == 0 {
+// SpanStart opens transaction txn at time at: the requesting processor
+// detected a miss on line. An ID of zero (untracked work) is ignored.
+func (t *Tracer) SpanStart(txn uint64, node int, line uint64, at sim.Time) {
+	if !t.Attributing() || txn == 0 {
 		return
 	}
-	s.mu.Lock()
-	s.open[txn] = &spanState{line: line, node: int32(node), start: at, cursor: at}
-	s.mu.Unlock()
+	t.mu.Lock()
+	t.open[txn] = &spanState{line: line, node: int32(node), start: at, cursor: at}
+	t.mu.Unlock()
 }
 
 // SetEpoch tags the open transaction with its current request episode so
 // checkpoints carrying a stale epoch (messages from a closed, retried
 // episode) are ignored. A new episode (timeout or NACK re-issue) simply
 // calls SetEpoch again.
-func (s *SpanTracker) SetEpoch(txn uint64, epoch uint32) {
-	if s == nil || txn == 0 {
+func (t *Tracer) SetEpoch(txn uint64, epoch uint32) {
+	if !t.Attributing() || txn == 0 {
 		return
 	}
-	s.mu.Lock()
-	if st := s.open[txn]; st != nil {
+	t.mu.Lock()
+	if st := t.open[txn]; st != nil {
 		st.epoch = epoch
 	}
-	s.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // match resolves a checkpoint to its open transaction. Epoch zero on
 // either side is a wildcard (bus- and CPU-side checkpoints predate epoch
 // minting; the base configuration never mints epochs at all).
-func (s *SpanTracker) match(txn uint64, epoch uint32) *spanState {
-	if s == nil || txn == 0 {
+func (t *Tracer) match(txn uint64, epoch uint32) *spanState {
+	if txn == 0 {
 		return nil
 	}
-	st := s.open[txn]
+	st := t.open[txn]
 	if st == nil {
 		return nil
 	}
@@ -198,155 +162,138 @@ func (s *SpanTracker) match(txn uint64, epoch uint32) *spanState {
 // informational marker (the attribution math is driven entirely by
 // SpanEnd's cursor tiling): it emits a trace event for cctrace/Perfetto
 // and anchors the lint pairing rule, but moves no cursor.
-func (s *SpanTracker) SpanBegin(txn uint64, stage Stage, epoch uint32, at sim.Time) {
-	if s == nil {
+func (t *Tracer) SpanBegin(txn uint64, stage Stage, epoch uint32, at sim.Time) {
+	if !t.Attributing() {
 		return
 	}
-	s.mu.Lock()
-	st := s.match(txn, epoch)
+	t.mu.Lock()
+	st := t.match(txn, epoch)
 	if st == nil {
-		s.mu.Unlock()
+		t.mu.Unlock()
 		return
 	}
 	node, line := int(st.node), st.line
-	s.mu.Unlock()
-	s.tr.Span(at, 0, node, stage.String(), line, txn, spanMarkBegin)
+	t.mu.Unlock()
+	t.span(at, 0, node, stage.String(), line, txn, spanMarkBegin)
 }
 
 // SpanEnd closes the open interval [cursor, at) under the given stage and
 // advances the cursor. Checkpoints at or before the cursor (duplicate or
 // stale deliveries, same-cycle hops) are silent no-ops: they attribute
 // zero cycles rather than corrupt the tiling.
-func (s *SpanTracker) SpanEnd(txn uint64, stage Stage, epoch uint32, at sim.Time) {
-	if s == nil {
+func (t *Tracer) SpanEnd(txn uint64, stage Stage, epoch uint32, at sim.Time) {
+	if !t.Attributing() {
 		return
 	}
-	s.mu.Lock()
-	st := s.match(txn, epoch)
+	t.mu.Lock()
+	st := t.match(txn, epoch)
 	if st == nil || at <= st.cursor {
-		s.mu.Unlock()
+		t.mu.Unlock()
 		return
 	}
-	s.tr.Span(st.cursor, at-st.cursor, int(st.node), stage.String(), st.line, txn, spanMarkSlice)
+	t.span(st.cursor, at-st.cursor, int(st.node), stage.String(), st.line, txn, spanMarkSlice)
 	st.segs[stage] += at - st.cursor
 	st.cursor = at
-	s.mu.Unlock()
+	t.mu.Unlock()
 }
 
-// Finish completes transaction txn at time at (the processor restart),
-// attributing the residue past the last checkpoint to StageFill and
-// folding the transaction into the aggregate distributions. A finish
+// SpanFinish completes transaction txn at time at (the processor
+// restart), attributing the residue past the last checkpoint to StageFill
+// and folding the transaction into the aggregate distributions. A finish
 // before the transaction's own cursor is the one true conservation
 // violation: some component checkpointed cycles past the observed
 // end-to-end latency.
-func (s *SpanTracker) Finish(txn uint64, at sim.Time) {
-	if s == nil {
+func (t *Tracer) SpanFinish(txn uint64, at sim.Time) {
+	if !t.Attributing() {
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.open[txn]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	st := t.open[txn]
 	if st == nil {
 		return
 	}
-	delete(s.open, txn)
+	delete(t.open, txn)
 	if at < st.cursor {
-		s.violations++
+		t.violations++
 		return
 	}
 	if at > st.cursor {
-		s.tr.Span(st.cursor, at-st.cursor, int(st.node), StageFill.String(), st.line, txn, spanMarkSlice)
+		t.span(st.cursor, at-st.cursor, int(st.node), StageFill.String(), st.line, txn, spanMarkSlice)
 		st.segs[StageFill] += at - st.cursor
 	}
 	for i := Stage(0); i < numStages; i++ {
 		if st.segs[i] > 0 {
-			s.stages[i].Add(st.segs[i])
-			s.totals[i] += st.segs[i]
+			t.stages[i].Add(st.segs[i])
+			t.totals[i] += st.segs[i]
 		}
 	}
-	s.endToEnd.Add(at - st.start)
-	s.completed++
-	s.tr.Span(st.start, at-st.start, int(st.node), "txn", st.line, txn, spanMarkFinish)
+	t.endToEnd.Add(at - st.start)
+	t.completed++
+	t.span(st.start, at-st.start, int(st.node), "txn", st.line, txn, spanMarkFinish)
 }
 
-// Abandon discards an open transaction without aggregating it (the
+// SpanAbandon discards an open transaction without aggregating it (the
 // processor dropped the miss episode: a racing snoop turned the retry into
 // a plain cache hit).
-func (s *SpanTracker) Abandon(txn uint64) {
-	if s == nil {
+func (t *Tracer) SpanAbandon(txn uint64) {
+	if !t.Attributing() {
 		return
 	}
-	s.mu.Lock()
-	delete(s.open, txn)
-	s.mu.Unlock()
+	t.mu.Lock()
+	delete(t.open, txn)
+	t.mu.Unlock()
 }
 
-// OpenCount returns how many transactions are currently open.
-func (s *SpanTracker) OpenCount() int {
-	if s == nil {
+// OpenSpans returns how many transactions are currently open.
+func (t *Tracer) OpenSpans() int {
+	if !t.Attributing() {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.open)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.open)
 }
 
-// Completed returns how many transactions finished and were aggregated.
-func (s *SpanTracker) Completed() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.completed
-}
-
-// Violations returns how many transactions finished before their own
-// cursor (conservation failures).
-func (s *SpanTracker) Violations() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.violations
-}
-
-// Stats snapshots the aggregate attribution into the stats-layer form the
-// reports consume. Returns nil on a disabled tracker.
-func (s *SpanTracker) Stats() *stats.Attribution {
-	if s == nil {
+// Attribution snapshots the aggregate attribution into the stats-layer
+// form the reports consume. Returns nil when attribution is off.
+func (t *Tracer) Attribution() *stats.Attribution {
+	if !t.Attributing() {
 		return nil
 	}
 	a := &stats.Attribution{
-		Completed:  s.completed,
-		Violations: s.violations,
-		EndToEnd:   s.endToEnd,
+		Completed:  t.completed,
+		Violations: t.violations,
+		EndToEnd:   t.endToEnd,
 	}
 	for i := Stage(0); i < numStages; i++ {
 		a.Stages = append(a.Stages, stats.StageAttribution{
-			Stage: i.String(), Total: s.totals[i], Hist: s.stages[i],
+			Stage: i.String(), Total: t.totals[i], Hist: t.stages[i],
 		})
 	}
 	return a
 }
 
-// CheckConservation verifies the tracker's global invariants after a run:
-// no transaction finished past its cursor, no transaction leaked open, and
+// CheckConservation verifies the attribution invariants after a run: no
+// transaction finished past its cursor, no transaction leaked open, and
 // the per-stage totals sum cycle-exactly to the end-to-end total.
-func (s *SpanTracker) CheckConservation() error {
-	if s == nil {
+func (t *Tracer) CheckConservation() error {
+	if !t.Attributing() {
 		return nil
 	}
-	if s.violations > 0 {
-		return fmt.Errorf("obs: %d span conservation violations (stage cycles past end-to-end latency)", s.violations)
+	if t.violations > 0 {
+		return fmt.Errorf("obs: %d span conservation violations (stage cycles past end-to-end latency)", t.violations)
 	}
-	if len(s.open) > 0 {
-		return fmt.Errorf("obs: %d transaction spans leaked open after run end", len(s.open))
+	if len(t.open) > 0 {
+		return fmt.Errorf("obs: %d transaction spans leaked open after run end", len(t.open))
 	}
 	var sum sim.Time
-	for i := range s.totals {
-		sum += s.totals[i]
+	for i := range t.totals {
+		sum += t.totals[i]
 	}
-	if int64(sum) != s.endToEnd.Sum {
+	if int64(sum) != t.endToEnd.Sum {
 		return fmt.Errorf("obs: stage cycles (%d) != end-to-end cycles (%d) over %d transactions",
-			sum, s.endToEnd.Sum, s.completed)
+			sum, t.endToEnd.Sum, t.completed)
 	}
 	return nil
 }

@@ -11,14 +11,14 @@ import (
 // intervals under their stage, the residue before Finish lands in the fill
 // stage, and the stages partition the end-to-end latency exactly.
 func TestSpanTiling(t *testing.T) {
-	s := NewSpanTracker(nil)
-	s.Start(1, 0, 0x40, 100)
+	s := attributing(NewTracer(WithBuffer(0)))
+	s.SpanStart(1, 0, 0x40, 100)
 	s.SpanEnd(1, StageStall, 0, 110)  // [100,110) stall
 	s.SpanEnd(1, StageBusArb, 0, 115) // [110,115) bus-arb
 	s.SpanEnd(1, StageBus, 0, 140)    // [115,140) bus-xfer
-	s.Finish(1, 150)                  // [140,150) fill
+	s.SpanFinish(1, 150)              // [140,150) fill
 
-	a := s.Stats()
+	a := s.Attribution()
 	if a.Completed != 1 || a.Violations != 0 {
 		t.Fatalf("completed=%d violations=%d, want 1/0", a.Completed, a.Violations)
 	}
@@ -42,13 +42,13 @@ func TestSpanTiling(t *testing.T) {
 // checkpoints (at or before the cursor) attribute nothing rather than
 // corrupt the tiling — chaos duplicates and replayed messages hit this.
 func TestSpanBackwardCheckpointsIgnored(t *testing.T) {
-	s := NewSpanTracker(nil)
-	s.Start(7, 0, 0x80, 0)
+	s := attributing(NewTracer(WithBuffer(0)))
+	s.SpanStart(7, 0, 0x80, 0)
 	s.SpanEnd(7, StageBus, 0, 50)
 	s.SpanEnd(7, StageWire, 0, 30) // backward: ignored
 	s.SpanEnd(7, StageWire, 0, 50) // zero-length: ignored
-	s.Finish(7, 60)
-	a := s.Stats()
+	s.SpanFinish(7, 60)
+	a := s.Attribution()
 	for _, st := range a.Stages {
 		if st.Stage == "wire" && st.Total != 0 {
 			t.Errorf("backward checkpoint attributed %d cycles to wire", st.Total)
@@ -63,14 +63,14 @@ func TestSpanBackwardCheckpointsIgnored(t *testing.T) {
 // checkpoint carrying a different non-zero epoch is ignored, while epoch
 // zero on either side remains a wildcard.
 func TestSpanEpochFilter(t *testing.T) {
-	s := NewSpanTracker(nil)
-	s.Start(3, 0, 0xc0, 0)
+	s := attributing(NewTracer(WithBuffer(0)))
+	s.SpanStart(3, 0, 0xc0, 0)
 	s.SetEpoch(3, 2)
 	s.SpanEnd(3, StageWire, 1, 40) // stale episode: ignored
 	s.SpanEnd(3, StageWire, 2, 30) // current episode
 	s.SpanEnd(3, StageBus, 0, 35)  // wildcard side
-	s.Finish(3, 35)
-	a := s.Stats()
+	s.SpanFinish(3, 35)
+	a := s.Attribution()
 	for _, st := range a.Stages {
 		switch st.Stage {
 		case "wire":
@@ -92,12 +92,12 @@ func TestSpanEpochFilter(t *testing.T) {
 // finishing before its own cursor (a component checkpointed cycles the
 // processor never observed) is counted and fails CheckConservation.
 func TestSpanViolation(t *testing.T) {
-	s := NewSpanTracker(nil)
-	s.Start(9, 0, 0x100, 0)
+	s := attributing(NewTracer(WithBuffer(0)))
+	s.SpanStart(9, 0, 0x100, 0)
 	s.SpanEnd(9, StageBus, 0, 100)
-	s.Finish(9, 90)
-	if s.Violations() != 1 {
-		t.Fatalf("violations = %d, want 1", s.Violations())
+	s.SpanFinish(9, 90)
+	if v := s.Attribution().Violations; v != 1 {
+		t.Fatalf("violations = %d, want 1", v)
 	}
 	err := s.CheckConservation()
 	if err == nil || !strings.Contains(err.Error(), "violation") {
@@ -109,47 +109,55 @@ func TestSpanViolation(t *testing.T) {
 // reclaim the open entry, unknown-transaction operations are no-ops, and a
 // leaked open transaction fails CheckConservation.
 func TestSpanReclaim(t *testing.T) {
-	s := NewSpanTracker(nil)
-	s.Start(1, 0, 0, 0)
-	s.Start(2, 0, 0, 0)
-	s.Start(3, 0, 0, 0)
-	if s.OpenCount() != 3 {
-		t.Fatalf("open = %d, want 3", s.OpenCount())
+	s := attributing(NewTracer(WithBuffer(0)))
+	s.SpanStart(1, 0, 0, 0)
+	s.SpanStart(2, 0, 0, 0)
+	s.SpanStart(3, 0, 0, 0)
+	if s.OpenSpans() != 3 {
+		t.Fatalf("open = %d, want 3", s.OpenSpans())
 	}
-	s.Finish(1, 10)
-	s.Abandon(2)
-	s.Finish(99, 10) // unknown: no-op
-	s.Abandon(99)    // unknown: no-op
-	if s.OpenCount() != 1 || s.Completed() != 1 {
-		t.Fatalf("open=%d completed=%d, want 1/1", s.OpenCount(), s.Completed())
+	s.SpanFinish(1, 10)
+	s.SpanAbandon(2)
+	s.SpanFinish(99, 10) // unknown: no-op
+	s.SpanAbandon(99)    // unknown: no-op
+	if s.OpenSpans() != 1 || s.Attribution().Completed != 1 {
+		t.Fatalf("open=%d completed=%d, want 1/1", s.OpenSpans(), s.Attribution().Completed)
 	}
 	if err := s.CheckConservation(); err == nil || !strings.Contains(err.Error(), "leaked") {
 		t.Fatalf("CheckConservation = %v, want leak error", err)
 	}
-	s.Abandon(3)
+	s.SpanAbandon(3)
 	if err := s.CheckConservation(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestSpanNilTracker checks that the disabled (nil) tracker accepts every
-// call as a no-op, so call sites need no attribution-knob branches.
+// TestSpanNilTracker checks that the disabled handles — a nil tracer and a
+// tracer with attribution off — accept every span call as a no-op, so call
+// sites need no attribution-knob branches.
 func TestSpanNilTracker(t *testing.T) {
-	var s *SpanTracker
-	if s.Enabled() {
-		t.Fatal("nil tracker reports enabled")
+	var nilTracer *Tracer
+	for _, s := range []*Tracer{nilTracer, NewTracer(WithBuffer(16))} {
+		checkSpanNoop(t, s)
 	}
-	s.Start(1, 0, 0, 0)
+}
+
+func checkSpanNoop(t *testing.T, s *Tracer) {
+	t.Helper()
+	if s.Attributing() {
+		t.Fatal("disabled tracer reports attributing")
+	}
+	s.SpanStart(1, 0, 0, 0)
 	s.SetEpoch(1, 1)
 	s.SpanBegin(1, StageStall, 0, 0)
 	s.SpanEnd(1, StageStall, 0, 10)
-	s.Finish(1, 10)
-	s.Abandon(1)
-	if s.OpenCount() != 0 || s.Completed() != 0 || s.Violations() != 0 {
-		t.Fatal("nil tracker accumulated state")
+	s.SpanFinish(1, 10)
+	s.SpanAbandon(1)
+	if s.OpenSpans() != 0 || s.Recorded() != 0 {
+		t.Fatal("disabled tracer accumulated state")
 	}
-	if s.Stats() != nil {
-		t.Fatal("nil tracker returned stats")
+	if s.Attribution() != nil {
+		t.Fatal("disabled tracer returned stats")
 	}
 	if err := s.CheckConservation(); err != nil {
 		t.Fatal(err)
@@ -160,12 +168,12 @@ func TestSpanNilTracker(t *testing.T) {
 // cctrace renderers rely on: begin markers, measured slices, and the finish
 // event carrying the end-to-end latency.
 func TestSpanEvents(t *testing.T) {
-	tr := obsTracer(t)
-	s := NewSpanTracker(tr)
-	s.Start(5, 2, 0x40, 100)
+	tr := NewTracer()
+	s := attributing(tr)
+	s.SpanStart(5, 2, 0x40, 100)
 	s.SpanBegin(5, StageStall, 0, 100)
 	s.SpanEnd(5, StageStall, 0, 120)
-	s.Finish(5, 130)
+	s.SpanFinish(5, 130)
 	evs := tr.Events()
 	var begins, slices, finishes int
 	var sliced sim.Time
@@ -198,7 +206,29 @@ func TestSpanEvents(t *testing.T) {
 	}
 }
 
-func obsTracer(t *testing.T) *Tracer {
-	t.Helper()
-	return NewTracer()
+// attributing turns attribution on in tr and returns it.
+func attributing(tr *Tracer) *Tracer {
+	tr.EnableAttribution()
+	return tr
+}
+
+// TestAttributionOnlyRecordsNothing checks that a tracer with neither ring
+// nor sink attributes spans while recording no typed events — not even the
+// event count, which shard workers sharing the tracer would race on.
+func TestAttributionOnlyRecordsNothing(t *testing.T) {
+	s := attributing(NewTracer(WithBuffer(0)))
+	if s.Enabled() {
+		t.Fatal("tracer without ring or sink reports recording")
+	}
+	s.Dispatch(1, 0, 0, "x", 0x40, 5, 0)
+	s.SpanStart(1, 0, 0x40, 0)
+	s.SpanBegin(1, StageStall, 0, 0)
+	s.SpanEnd(1, StageStall, 0, 10)
+	s.SpanFinish(1, 20)
+	if s.Recorded() != 0 || s.Events() != nil {
+		t.Fatalf("attribution-only tracer recorded %d events", s.Recorded())
+	}
+	if a := s.Attribution(); a.Completed != 1 || a.EndToEnd.Sum != 20 {
+		t.Fatalf("completed=%d end-to-end=%d, want 1/20", a.Completed, a.EndToEnd.Sum)
+	}
 }

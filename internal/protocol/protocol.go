@@ -164,15 +164,11 @@ func (m *Msg) IsResponse() bool {
 	}
 }
 
-// TraceName lets the network's tracer label this payload (obs.TraceDescriber).
-func (m *Msg) TraceName() string { return m.Type.String() }
-
-// TraceLine reports the cache line for tracing (obs.TraceDescriber).
-func (m *Msg) TraceLine() uint64 { return m.Line }
-
-// SpanTxn exposes the message's transaction ID and episode epoch for span
-// checkpointing (obs.SpanDescriber).
-func (m *Msg) SpanTxn() (uint64, uint32) { return m.Txn, m.Epoch }
+// TraceDesc lets the network's tracer label this payload and checkpoint
+// its transaction's spans (obs.TraceDescriber).
+func (m *Msg) TraceDesc() (string, uint64, uint64, uint32) {
+	return m.Type.String(), m.Line, m.Txn, m.Epoch
+}
 
 // Flits returns the network occupancy of the message under cfg.
 func (m *Msg) Flits(cfg *config.Config) int {

@@ -117,19 +117,9 @@ func computeCell(c *Cell, sampler *obs.Sampler) (payload []byte, fail *obs.Failu
 	if sampler != nil {
 		m.AttachSampler(sampler)
 	}
-	w, err := workload.NewSeeded(app, size, m.NProcs(), c.Spec.Workload.Seed)
+	r, err := workload.Run(m, app, size, c.Spec.Workload.Seed)
 	if err != nil {
 		return nil, machine.ClassifyFailure(err)
-	}
-	if err := w.Setup(m); err != nil {
-		return nil, machine.ClassifyFailure(err)
-	}
-	r, err := m.Run(w.Body)
-	if err != nil {
-		return nil, machine.ClassifyFailure(err)
-	}
-	if err := w.Verify(); err != nil {
-		return nil, machine.ClassifyFailure(fmt.Errorf("verification failed: %w", err))
 	}
 
 	art := obs.NewArtifact("ccserved", c.Spec.Workload.Size, &cfg, r)

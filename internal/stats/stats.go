@@ -126,7 +126,8 @@ type Run struct {
 	Counters map[string]uint64
 
 	// Attribution is the per-stage decomposition of miss latency recorded
-	// by the span tracker (nil unless the run enabled attribution).
+	// by the tracer's span attribution (nil unless the run enabled
+	// attribution).
 	Attribution *Attribution
 }
 

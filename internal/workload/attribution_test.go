@@ -93,7 +93,7 @@ func TestAttributionNoLeak(t *testing.T) {
 		cfg.ProcsPerNode = 2
 		cfg.SimLimit = 2_000_000_000
 		m, _ := runAttributed(t, cfg, app)
-		if n := m.Spans().OpenCount(); n != 0 {
+		if n := m.Tracer.OpenSpans(); n != 0 {
 			t.Errorf("%s: %d transaction spans still open after run end", app, n)
 		}
 	}
@@ -173,7 +173,7 @@ func TestAttributionChaosProperty(t *testing.T) {
 			t.Fatalf("seed %d: stage cycles %d != end-to-end %d (%s)",
 				seed, a.TotalCycles(), a.EndToEnd.Sum, sch)
 		}
-		if n := m.Spans().OpenCount(); n != 0 {
+		if n := m.Tracer.OpenSpans(); n != 0 {
 			t.Fatalf("seed %d: %d spans leaked open", seed, n)
 		}
 	}

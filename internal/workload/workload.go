@@ -20,6 +20,7 @@ import (
 
 	"ccnuma/internal/machine"
 	"ccnuma/internal/prog"
+	"ccnuma/internal/stats"
 )
 
 // SizeClass selects a problem size.
@@ -114,6 +115,27 @@ func NewSeeded(name string, size SizeClass, nprocs int, seed int64) (Workload, e
 		s.SetSeed(seed)
 	}
 	return w, nil
+}
+
+// Run is the one run-and-verify path: it builds the named workload with
+// seed (NewSeeded), sets it up on m, runs the simulation, and checks the
+// workload's result, so a run that returns no error has also verified.
+func Run(m *machine.Machine, app string, size SizeClass, seed int64) (*stats.Run, error) {
+	w, err := NewSeeded(app, size, m.NProcs(), seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.Setup(m); err != nil {
+		return nil, err
+	}
+	r, err := m.Run(w.Body)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.Verify(); err != nil {
+		return nil, fmt.Errorf("verification failed: %w", err)
+	}
+	return r, nil
 }
 
 // Names lists the registered benchmarks in sorted order.
