@@ -144,10 +144,11 @@ torture-smoke:
 perfbench-selftest:
 	cd perfbench && $(GO) test -race ./...
 
-# microbench runs the go-test benchmark suites (paper artifacts at SizeTest
-# plus the engine hot-loop benchmarks in internal/sim).
+# microbench runs the go-test benchmark suites (paper artifacts at SizeTest,
+# the engine hot-loop benchmarks in internal/sim, and the program handoff on
+# the L1-hit path in internal/cpu).
 microbench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/sim
+	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/sim ./internal/cpu
 
 # Regenerate every paper table/figure at smoke sizes.
 tables:

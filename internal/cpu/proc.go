@@ -1,16 +1,18 @@
+//go:build go1.23
+
 // Package cpu implements the execution-driven compute-processor model.
-// Each simulated processor runs its workload program on a dedicated
-// goroutine; the program's shared-memory loads and stores are issued to the
-// timing model (L1 -> L2 -> SMP bus -> coherence controller) and the
-// goroutine blocks until the simulated access completes, exactly like the
-// Augmint task-switch-per-reference model the paper used. Control is handed
-// off synchronously, so only one goroutine (the engine's or one program's)
-// ever runs at a time and simulations stay deterministic.
+// Each simulated processor runs its workload program as a coroutine
+// (iter.Pull) that yields its shared-memory operations to the timing model
+// (L1 -> L2 -> SMP bus -> coherence controller) and stays suspended until
+// the simulated operation completes, exactly like the Augmint
+// task-switch-per-reference model the paper used. Only the engine resumes
+// a program, so one of them runs at a time and simulations stay
+// deterministic.
 package cpu
 
 import (
 	"fmt"
-	"runtime"
+	"iter"
 
 	"ccnuma/internal/cache"
 	"ccnuma/internal/config"
@@ -30,7 +32,6 @@ const (
 	opBarrier
 	opLock
 	opUnlock
-	opDone
 )
 
 type op struct {
@@ -76,11 +77,11 @@ type Proc struct {
 	lastRead  uint64
 	lastWrite uint64
 
-	start chan struct{}
-	ops   chan op
-	// aborted is set by Abort before it closes start, so a parked program
-	// goroutine wakes and ends instead of waiting forever.
-	aborted bool
+	// next resumes the program coroutine until it yields its next
+	// operation, reporting false once the program has returned; stop ends
+	// a suspended program (see Abort).
+	next func() (op, bool)
+	stop func()
 
 	// syncCb, when set, receives the completion of an access issued by the
 	// synchronization layer instead of resuming the program.
@@ -142,8 +143,6 @@ func New(eng *sim.Engine, cfg *config.Config, id, node int, bus *smpbus.Bus,
 		l1:    cache.New(cfg.L1Size, cfg.L1Assoc, cfg.LineSize),
 		l2:    cache.New(cfg.L2Size, cfg.L2Assoc, cfg.LineSize),
 		vals:  make(map[uint64]uint64),
-		start: make(chan struct{}),
-		ops:   make(chan op),
 	}
 	p.src = bus.AttachSnooper(p)
 	p.txn = smpbus.Txn{Src: p.src, Done: p.missDone}
@@ -230,35 +229,28 @@ func (p *Proc) Counters() map[string]uint64 {
 	}
 }
 
-// Run launches the program goroutine and schedules its first time slice.
-// The program must use only the provided Env for shared-memory access.
+// Run creates the program's coroutine and schedules its first time slice.
+// The program must use only the provided Env for shared-memory access; a
+// panic in it surfaces from the engine event that resumed it.
 func (p *Proc) Run(program func(prog.Env)) {
 	env := &Env{p: p}
-	go func() {
-		p.wait()
+	p.next, p.stop = iter.Pull(func(yield func(op) bool) {
+		env.yield = yield
+		defer func() {
+			if env.halted {
+				recover() // the aborted program's unwinding, not a fault
+			}
+		}()
 		program(env)
-		p.ops <- op{kind: opDone}
-	}()
+	})
 	p.eng.At(p.eng.Now(), p.resumeFn)
 }
 
-// wait parks the program goroutine until the engine hands it control, and
-// ends the goroutine instead if the run was aborted.
-func (p *Proc) wait() {
-	<-p.start
-	if p.aborted {
-		runtime.Goexit()
-	}
-}
-
-// Abort releases the program goroutine of a processor whose run ended
-// before its program did (an error or panic out of the run loop). It must
-// be called at most once, after the engine has stopped, and the processor
-// must not be resumed afterwards.
-func (p *Proc) Abort() {
-	p.aborted = true
-	close(p.start)
-}
+// Abort ends an unfinished program (the run stopped on an error or panic):
+// the Env call it is suspended in unwinds it without running more program
+// code. On a finished program it does nothing. Call it only after the
+// engine has stopped; the processor must not be resumed afterwards.
+func (p *Proc) Abort() { p.stop() }
 
 // Resume lets the synchronization handler continue a parked processor.
 func (p *Proc) Resume() {
@@ -282,12 +274,16 @@ func (p *Proc) SyncAccess(addr uint64, write bool, done func()) {
 	p.access(addr, write)
 }
 
-// resumeProgram transfers control to the program goroutine, receives its
-// next operation, and models it. The engine goroutine blocks while the
-// program computes, which serializes all program execution deterministically.
+// resumeProgram runs the program until it yields its next operation, and
+// models it; a program that returned instead has finished. The engine waits
+// while the program computes, which serializes all program execution.
 func (p *Proc) resumeProgram() {
-	p.start <- struct{}{}
-	o := <-p.ops
+	o, ok := p.next()
+	if !ok {
+		p.finished = true
+		p.finishedAt = p.eng.Now()
+		return
+	}
 	p.handleOp(o)
 }
 
@@ -317,9 +313,6 @@ func (p *Proc) execOp(o op) {
 		p.sync.Lock(p, o.id)
 	case opUnlock:
 		p.sync.Unlock(p, o.id)
-	case opDone:
-		p.finished = true
-		p.finishedAt = p.eng.Now()
 	default:
 		panic(fmt.Sprintf("cpu: unknown op %d", o.kind))
 	}
@@ -667,14 +660,19 @@ func (p *Proc) LineData(line uint64) uint64 { return p.vals[line] }
 // ---- program-facing API -----------------------------------------------------
 
 // Env is the shared-memory interface handed to workload programs (the
-// detailed implementation of prog.Env). All methods block the program
-// goroutine until the simulated operation completes. Env is owned by a
-// single program goroutine.
+// detailed implementation of prog.Env). Each operation yields from the
+// program's coroutine and returns when the simulated operation completes.
+// Env is owned by a single program.
 type Env struct {
-	p *Proc
+	p      *Proc
+	yield  func(op) bool
+	halted bool // the run was aborted and the program is unwinding
 }
 
 var _ prog.Env = (*Env)(nil)
+
+// aborted is the panic value that unwinds an aborted program.
+type aborted struct{}
 
 // ID returns the global processor index running this program.
 func (e *Env) ID() int { return e.p.id }
@@ -693,8 +691,10 @@ func (e *Env) Compute(n int) {
 func (e *Env) issue(o op) {
 	o.comp = e.p.pendingComp
 	e.p.pendingComp = 0
-	e.p.ops <- o
-	e.p.wait()
+	if !e.yield(o) {
+		e.halted = true
+		panic(aborted{})
+	}
 }
 
 // Read performs a shared-memory load from addr.

@@ -22,7 +22,7 @@ func (noSync) Unlock(*Proc, int) {
 
 // testRig is one node's bus with memory and no coherence controller:
 // enough to exercise the processor's cache hierarchy timing.
-func testRig(t *testing.T, procs int) (*sim.Engine, *config.Config, *memaddr.Space, *smpbus.Bus, []*Proc) {
+func testRig(t testing.TB, procs int) (*sim.Engine, *config.Config, *memaddr.Space, *smpbus.Bus, []*Proc) {
 	t.Helper()
 	cfg := config.Base()
 	cfg.Nodes = 1
@@ -263,5 +263,36 @@ func TestReadWriteRangeHelpers(t *testing.T) {
 	c := ps[0].Counters()
 	if c["reads"] != 16 || c["writes"] != 16 {
 		t.Fatalf("reads=%d writes=%d, want 16/16", c["reads"], c["writes"])
+	}
+}
+
+// BenchmarkL1HitHandoff measures one L1-hit reference end to end: the engine
+// resumes the program, the program issues a load of a resident line, and the
+// processor models the hit and schedules the next resumption. Each engine
+// step is one such reference.
+func BenchmarkL1HitHandoff(b *testing.B) {
+	eng, _, space, _, ps := testRig(b, 1)
+	eng.Limit = 0
+	p := ps[0]
+	addr := space.Alloc(4096)
+	p.Run(func(e prog.Env) {
+		for {
+			e.Read(addr)
+		}
+	})
+	defer p.Abort()
+	// The cold miss makes the line resident; every later load hits in L1.
+	for p.Counters()["l1Hits"] == 0 {
+		eng.Step()
+	}
+	before := p.Counters()["l1Hits"]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+	b.StopTimer()
+	if hits := p.Counters()["l1Hits"] - before; hits != uint64(b.N) {
+		b.Fatalf("%d L1 hits in %d steps", hits, b.N)
 	}
 }

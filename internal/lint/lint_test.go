@@ -209,8 +209,10 @@ func TestConfigSchemaCheck(t *testing.T) {
 }
 
 // TestNoGoroutineCheck pins the goroutine ban on its fixture: the go
-// statement in badgo must be flagged, and the sanctioned packages
-// (internal/runner and the cpu/pram workload handoff) must stay exempt.
+// statement in badgo must be flagged, the sanctioned packages
+// (internal/runner, internal/serve and the shard scheduler) must stay
+// exempt, and the workload handoff, which runs programs as coroutines,
+// must not be.
 func TestNoGoroutineCheck(t *testing.T) {
 	pkgs, err := Load(".", "./testdata/src/badgo")
 	if err != nil {
@@ -228,9 +230,14 @@ func TestNoGoroutineCheck(t *testing.T) {
 	if !strings.Contains(got[0].Pos, "badgo.go") {
 		t.Errorf("finding anchored at %s, want badgo.go", got[0].Pos)
 	}
-	for _, path := range []string{"ccnuma/internal/runner", "ccnuma/internal/cpu", "ccnuma/internal/pram"} {
+	for _, path := range []string{"ccnuma/internal/runner", "ccnuma/internal/serve", "ccnuma/internal/sim"} {
 		if !goroutineAllowed[path] {
 			t.Errorf("%s missing from the goroutine allowlist", path)
+		}
+	}
+	for _, path := range []string{"ccnuma/internal/cpu", "ccnuma/internal/pram"} {
+		if goroutineAllowed[path] {
+			t.Errorf("%s is on the goroutine allowlist", path)
 		}
 	}
 }

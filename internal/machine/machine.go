@@ -202,16 +202,15 @@ func (m *Machine) NProcs() int { return len(m.Procs) }
 // Run executes program on every processor (SPMD) and returns the collected
 // statistics. The run fails if the simulation exceeds the configured time
 // limit or deadlocks with unfinished processors; however Run ends, it
-// releases the goroutines of programs that did not finish.
+// aborts the programs that did not finish. A panic in a program surfaces
+// from Run with the program's own value.
 func (m *Machine) Run(program func(prog.Env)) (*stats.Run, error) {
 	for _, p := range m.Procs {
 		p.Run(program)
 	}
 	defer func() {
 		for _, p := range m.Procs {
-			if done, _ := p.Finished(); !done {
-				p.Abort()
-			}
+			p.Abort()
 		}
 	}()
 	if m.sampler != nil {

@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package pram implements the paper's Section 3.3 prediction methodology:
 // "system designers can obtain the RCCPI measure for important large
 // applications using simple simulators (e.g. PRAM) and relate that RCCPI
@@ -15,7 +17,7 @@ package pram
 
 import (
 	"fmt"
-	"runtime"
+	"iter"
 
 	"ccnuma/internal/cache"
 	"ccnuma/internal/config"
@@ -57,20 +59,12 @@ type proc struct {
 	node int
 	l2   *cache.Cache
 
-	start    chan struct{}
-	ops      chan op
+	// next resumes the program until its next operation (false once it
+	// has returned); stop aborts a suspended program.
+	next     func() (op, bool)
+	stop     func()
 	blocked  bool
 	finished bool
-	aborted  bool // set before start is closed on a failed run
-}
-
-// wait parks the program goroutine until the scheduler steps it, and ends
-// the goroutine instead if the run failed.
-func (p *proc) wait() {
-	<-p.start
-	if p.aborted {
-		runtime.Goexit()
-	}
 }
 
 type opKind int
@@ -82,7 +76,6 @@ const (
 	opBarrier
 	opLock
 	opUnlock
-	opDone
 )
 
 type op struct {
@@ -102,12 +95,10 @@ func New(cfg *config.Config, space *memaddr.Space) *Sim {
 	}
 	for i := 0; i < cfg.TotalProcs(); i++ {
 		s.procs = append(s.procs, &proc{
-			sim:   s,
-			id:    i,
-			node:  i / cfg.ProcsPerNode,
-			l2:    cache.New(cfg.L2Size, cfg.L2Assoc, cfg.LineSize),
-			start: make(chan struct{}),
-			ops:   make(chan op),
+			sim:  s,
+			id:   i,
+			node: i / cfg.ProcsPerNode,
+			l2:   cache.New(cfg.L2Size, cfg.L2Assoc, cfg.LineSize),
 		})
 	}
 	return s
@@ -129,23 +120,25 @@ func (s *Sim) RCCPI() float64 {
 
 // Run executes the SPMD program functionally. Processors run one at a time
 // (barrier- and lock-granular scheduling), which preserves the data-race-
-// free programs' results and reference streams. However Run ends, it
-// releases the goroutines of programs that did not finish.
+// free programs' results and reference streams. Each program is a
+// coroutine that yields one operation per step; a panic in one surfaces
+// from Run, and however Run ends, it aborts the unfinished ones.
 func (s *Sim) Run(program func(prog.Env)) error {
 	for _, p := range s.procs {
-		p := p
-		go func() {
-			p.wait()
-			program(&env{p: p})
-			p.ops <- op{kind: opDone}
-		}()
+		e := &env{p: p}
+		p.next, p.stop = iter.Pull(func(yield func(op) bool) {
+			e.yield = yield
+			defer func() {
+				if e.halted {
+					recover() // the aborted program's unwinding, not a fault
+				}
+			}()
+			program(e)
+		})
 	}
 	defer func() {
 		for _, p := range s.procs {
-			if !p.finished {
-				p.aborted = true
-				close(p.start)
-			}
+			p.stop()
 		}
 	}()
 	// Round-robin one operation per processor per turn: per-reference
@@ -181,63 +174,61 @@ func (s *Sim) allFinished() bool {
 	return true
 }
 
-// step executes one operation of p (p must be runnable).
+// step executes one operation of p (p must be runnable); a program that
+// returned instead has finished.
 func (s *Sim) step(p *proc) {
-	{
-		p.start <- struct{}{}
-		o := <-p.ops
-		switch o.kind {
-		case opRead:
-			s.instructions++
-			s.access(p, o.addr, false)
-		case opWrite:
-			s.instructions++
-			s.access(p, o.addr, true)
-		case opCompute:
-			s.instructions += uint64(o.n)
-		case opBarrier:
-			s.parkedBarrier = append(s.parkedBarrier, p)
+	o, ok := p.next()
+	if !ok {
+		p.finished = true
+		return
+	}
+	switch o.kind {
+	case opRead:
+		s.instructions++
+		s.access(p, o.addr, false)
+	case opWrite:
+		s.instructions++
+		s.access(p, o.addr, true)
+	case opCompute:
+		s.instructions += uint64(o.n)
+	case opBarrier:
+		s.parkedBarrier = append(s.parkedBarrier, p)
+		p.blocked = true
+		if len(s.parkedBarrier) == len(s.procs) {
+			for _, q := range s.parkedBarrier {
+				q.blocked = false
+			}
+			s.parkedBarrier = nil
+		}
+	case opLock:
+		s.instructions++
+		lq := s.locks[o.n]
+		if lq == nil {
+			lq = &lockq{}
+			s.locks[o.n] = lq
+		}
+		if lq.held {
+			lq.waiters = append(lq.waiters, p)
 			p.blocked = true
-			if len(s.parkedBarrier) == len(s.procs) {
-				for _, q := range s.parkedBarrier {
-					q.blocked = false
-				}
-				s.parkedBarrier = nil
-			}
 			return
-		case opLock:
-			s.instructions++
-			lq := s.locks[o.n]
-			if lq == nil {
-				lq = &lockq{}
-				s.locks[o.n] = lq
-			}
-			if lq.held {
-				lq.waiters = append(lq.waiters, p)
-				p.blocked = true
-				return
-			}
-			lq.held = true
-			// A lock acquisition is a read-exclusive of the lock line at
-			// minimum: charge a small constant.
+		}
+		lq.held = true
+		// A lock acquisition is a read-exclusive of the lock line at
+		// minimum: charge a small constant.
+		s.ccRequests += 2
+	case opUnlock:
+		s.instructions++
+		lq := s.locks[o.n]
+		if lq == nil || !lq.held {
+			panic(fmt.Sprintf("pram: unlock of free lock %d", o.n))
+		}
+		if len(lq.waiters) > 0 {
+			next := lq.waiters[0]
+			lq.waiters = lq.waiters[1:]
+			next.blocked = false
 			s.ccRequests += 2
-		case opUnlock:
-			s.instructions++
-			lq := s.locks[o.n]
-			if lq == nil || !lq.held {
-				panic(fmt.Sprintf("pram: unlock of free lock %d", o.n))
-			}
-			if len(lq.waiters) > 0 {
-				next := lq.waiters[0]
-				lq.waiters = lq.waiters[1:]
-				next.blocked = false
-				s.ccRequests += 2
-			} else {
-				lq.held = false
-			}
-		case opDone:
-			p.finished = true
-			return
+		} else {
+			lq.held = false
 		}
 	}
 }
@@ -419,17 +410,25 @@ func (s *Sim) install(p *proc, line uint64, st cache.State, e *lineState) {
 	}
 }
 
-// env adapts a pram proc to prog.Env.
+// env adapts a pram proc to prog.Env. Unlike the detailed processor's Env,
+// Compute is an operation of its own: it takes a turn in the round-robin.
 type env struct {
-	p *proc
+	p      *proc
+	yield  func(op) bool
+	halted bool // the run was aborted and the program is unwinding
 }
+
+// aborted is the panic value that unwinds an aborted program.
+type aborted struct{}
 
 func (e *env) ID() int   { return e.p.id }
 func (e *env) Node() int { return e.p.node }
 
 func (e *env) issue(o op) {
-	e.p.ops <- o
-	e.p.wait()
+	if !e.yield(o) {
+		e.halted = true
+		panic(aborted{})
+	}
 }
 
 func (e *env) Read(addr uint64)  { e.issue(op{kind: opRead, addr: addr}) }

@@ -229,3 +229,59 @@ func TestDeadlockReleasesPrograms(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestCompletedRunReleasesPrograms pins that a run whose programs all
+// finish leaves no program coroutine (and the goroutine under it) behind.
+func TestCompletedRunReleasesPrograms(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s, space, _ := newSim(t, 2, 2)
+	addr := space.AllocOnNode(4096, 0)
+	err := s.Run(func(e prog.Env) {
+		e.Read(addr)
+		e.Barrier()
+		e.Write(addr + uint64(e.ID()*8))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base)
+}
+
+// programFault is the value processor 3's program panics with.
+type programFault struct{ proc int }
+
+// TestProgramPanicReachesCaller pins that a panic inside a workload program
+// surfaces from Run with the program's own value, and that the other
+// programs, parked at a barrier, are released.
+func TestProgramPanicReachesCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s, space, _ := newSim(t, 4, 2)
+	addr := space.AllocOnNode(4096, 0)
+	func() {
+		defer func() {
+			if r := recover(); r != (programFault{proc: 3}) {
+				t.Fatalf("Run panicked with %v, want processor 3's fault", r)
+			}
+		}()
+		_ = s.Run(func(e prog.Env) {
+			e.Read(addr)
+			if e.ID() == 3 {
+				panic(programFault{proc: 3})
+			}
+			e.Barrier()
+		})
+	}()
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines polls until no more than base goroutines run.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running after the run, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

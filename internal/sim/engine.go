@@ -20,8 +20,9 @@ func (t Time) Nanoseconds() float64 { return float64(t) * 5.0 }
 
 // Engine is a discrete-event scheduler. The zero value is not usable; create
 // one with NewEngine. Engine is not safe for concurrent use: all model code
-// runs on the single goroutine that called Run (workload goroutines hand off
-// control synchronously and never touch the engine while it is stepping).
+// runs on the single goroutine that called Run (workload programs are
+// coroutines that the engine's own events resume, and they never touch the
+// engine).
 // Independent simulations each own their engine, so whole runs can execute
 // concurrently (see internal/runner).
 type Engine struct {
