@@ -145,10 +145,11 @@ perfbench-selftest:
 	cd perfbench && $(GO) test -race ./...
 
 # microbench runs the go-test benchmark suites (paper artifacts at SizeTest,
-# the engine hot-loop benchmarks in internal/sim, and the program handoff on
-# the L1-hit path in internal/cpu).
+# the engine hot-loop benchmarks in internal/sim, the program handoff on
+# the L1-hit path in internal/cpu, and whole PPC kernel runs with their
+# allocations per event in internal/machine).
 microbench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/sim ./internal/cpu
+	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/sim ./internal/cpu ./internal/machine
 
 # Regenerate every paper table/figure at smoke sizes.
 tables:

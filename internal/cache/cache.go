@@ -4,7 +4,10 @@
 // values live in the workload's own Go memory.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // State is a MESI cache-line state.
 type State uint8
@@ -56,11 +59,14 @@ type way struct {
 // Cache is a set-associative LRU cache. The zero value is unusable; create
 // with New.
 type Cache struct {
-	sets     [][]way
-	assoc    int
-	lineSize uint64
-	setMask  uint64
-	clock    uint64 // LRU counter
+	// ways holds every set's ways back to back: set i is
+	// ways[i*assoc : (i+1)*assoc].
+	ways      []way
+	assoc     int
+	nsets     int
+	lineShift uint // log2 of the line size
+	setMask   uint64
+	clock     uint64 // LRU counter
 }
 
 // New creates a cache of size bytes, assoc ways, and lineSize-byte lines.
@@ -77,27 +83,28 @@ func New(size, assoc, lineSize int) *Cache {
 	if nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", nsets))
 	}
-	sets := make([][]way, nsets)
-	backing := make([]way, nsets*assoc)
-	for i := range sets {
-		sets[i] = backing[i*assoc : (i+1)*assoc : (i+1)*assoc]
+	if lineSize&(lineSize-1) != 0 {
+		panic(fmt.Sprintf("cache: line size %d not a power of two", lineSize))
 	}
 	return &Cache{
-		sets:     sets,
-		assoc:    assoc,
-		lineSize: uint64(lineSize),
-		setMask:  uint64(nsets - 1),
+		ways:      make([]way, nsets*assoc),
+		assoc:     assoc,
+		nsets:     nsets,
+		lineShift: uint(bits.TrailingZeros(uint(lineSize))),
+		setMask:   uint64(nsets - 1),
 	}
 }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return c.nsets }
 
 // Assoc returns the associativity.
 func (c *Cache) Assoc() int { return c.assoc }
 
+// setFor returns the ways of line's set: a shift and a mask, no divide.
 func (c *Cache) setFor(line uint64) []way {
-	return c.sets[(line/c.lineSize)&c.setMask]
+	i := int((line>>c.lineShift)&c.setMask) * c.assoc
+	return c.ways[i : i+c.assoc : i+c.assoc]
 }
 
 func (c *Cache) find(line uint64) *way {
@@ -189,12 +196,10 @@ place:
 // Lines calls fn for every valid line in the cache. Iteration order is
 // set-major and deterministic. If fn returns false iteration stops.
 func (c *Cache) Lines(fn func(line uint64, st State) bool) {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].state != Invalid {
-				if !fn(set[i].line, set[i].state) {
-					return
-				}
+	for i := range c.ways {
+		if w := &c.ways[i]; w.state != Invalid {
+			if !fn(w.line, w.state) {
+				return
 			}
 		}
 	}

@@ -82,7 +82,7 @@ func TestSetStateOnAbsentPanics(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	for _, g := range [][3]int{{0, 1, 128}, {1000, 4, 128}, {768, 2, 128}} {
+	for _, g := range [][3]int{{0, 1, 128}, {1000, 4, 128}, {768, 2, 128}, {384, 1, 96}} {
 		g := g
 		func() {
 			defer func() { recover() }()

@@ -36,11 +36,52 @@ import (
 )
 
 // work is one queued protocol request: either a deferred bus transaction or
-// a network message.
+// a network message. Input queues and waiter lists hold work by value.
 type work struct {
 	arrival sim.Time
 	txn     *smpbus.Txn
 	msg     *protocol.Msg
+	// parked marks a dispatched item whose handler parked a copy on a
+	// waiter list: the copy owns the message from then on, so dispatch
+	// must not release it.
+	parked bool
+}
+
+// workQueue is a FIFO of work held by value. take advances a head index
+// instead of reslicing, and push compacts the live items to the front
+// when the backing array is full, so a queue grows to its high-water
+// depth once and then allocates nothing.
+type workQueue struct {
+	items []work
+	head  int
+}
+
+func (q *workQueue) len() int { return len(q.items) - q.head }
+
+// all returns the queued items, head first.
+func (q *workQueue) all() []work { return q.items[q.head:] }
+
+// front returns the head item; the queue must not be empty.
+func (q *workQueue) front() *work { return &q.items[q.head] }
+
+func (q *workQueue) push(w work) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, w)
+}
+
+// take removes and returns the head item; the queue must not be empty.
+func (q *workQueue) take() work {
+	w := q.items[q.head]
+	q.items[q.head] = work{}
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return w
 }
 
 // label names the queued request for tracing (a constant-table string).
@@ -88,7 +129,7 @@ type homeOp struct {
 	// finalDir is written to the directory when the op completes.
 	finalDir directory.Entry
 
-	waiters []*work
+	waiters []work
 }
 
 // spanTxn resolves the causal-span identity of the op's requester: local
@@ -119,7 +160,7 @@ type mshrEntry struct {
 	filling         bool // response dispatched, bus supply in flight
 	// data is the shadow line value delivered by the data response.
 	data    uint64
-	waiters []*work
+	waiters []work
 
 	// Robustness state (zero and unused with the recovery knobs off).
 	// issuedAt is when the request was first sent; attempts counts NACKs
@@ -172,6 +213,13 @@ type Controller struct {
 
 	// forceNack counts pending one-shot forced NI bounces (ForceNackNext).
 	forceNack int
+
+	// slots is the free list of transaction slots, and msgs the free list
+	// of message bodies (see slot). A body sent by one controller is
+	// released into the receiving controller's list, so each list is only
+	// touched by its own node's events.
+	slots []*slot
+	msgs  []*protocol.Msg
 }
 
 // engine is one protocol engine (FSM or protocol processor) with its input
@@ -179,11 +227,64 @@ type Controller struct {
 type engine struct {
 	cc        *Controller
 	idx       int
-	busQ      []*work
-	reqQ      []*work
-	respQ     []*work
+	busQ      workQueue
+	reqQ      workQueue
+	respQ     workQueue
 	busy      bool
 	netStreak int // consecutive network-request dispatches while bus waits
+	// cur is the item in service: pick moves the queue head here. An
+	// engine never dispatches while busy, so one slot per engine suffices.
+	cur work
+	// doneFn ends a handler's occupancy and re-arbitrates (bound once).
+	doneFn func()
+}
+
+// slot is one controller-owned transaction buffer, the model's
+// counterpart of the fixed set of buffers a hardware coherence controller
+// keeps for its outstanding work. A slot holds one of three things: a bus
+// transaction the controller issues (txn, whose final outcome goes to
+// done), an action deferred to a later cycle or to a bus completion (run),
+// or an outgoing message waiting for its send cycle (msg, dst). The fields
+// between txn and run are the context those callbacks read. A slot's
+// callbacks are bound once, when it is first made, and the bodies handed
+// in are function literals that capture nothing (they take the controller
+// and the slot as parameters), so taking and reusing a slot allocates
+// nothing.
+type slot struct {
+	txn smpbus.Txn
+	cc  *Controller
+
+	op        *homeOp
+	m         *mshrEntry
+	msg       *protocol.Msg
+	dst       int // send destination, or the home node an intervention answers
+	requester int
+	exclusive bool
+	fromHome  bool
+	shared    bool
+	spanID    uint64
+	spanEpoch uint32
+
+	run  func(cc *Controller, s *slot)
+	done func(cc *Controller, s *slot, o smpbus.Outcome)
+	// runFn runs run and then releases the slot; issueFn issues txn.
+	runFn, issueFn func()
+}
+
+// complete receives the outcome of the slot's bus transaction. A
+// RetryNeeded bounce (a live processor transfer on the line is mid-flight)
+// re-issues the same slot after the bus back-off, so the slot stays taken;
+// any other outcome is final: done runs, then the slot is released.
+func (s *slot) complete(o smpbus.Outcome) {
+	cc := s.cc
+	if o.Status == smpbus.RetryNeeded {
+		cc.eng.After(cc.cfg.BusRetry, s.issueFn)
+		return
+	}
+	if s.done != nil {
+		s.done(cc, s, o)
+	}
+	cc.release(s)
 }
 
 // New creates a controller, attaching it to the node's bus and to the
@@ -208,7 +309,12 @@ func New(eng *sim.Engine, cfg *config.Config, node int, bus *smpbus.Bus,
 		mshr:    make(map[uint64]*mshrEntry),
 	}
 	for i := 0; i < cfg.NodeEngineCount(node); i++ {
-		cc.engines = append(cc.engines, &engine{cc: cc, idx: i})
+		e := &engine{cc: cc, idx: i}
+		e.doneFn = func() {
+			e.busy = false
+			e.kick()
+		}
+		cc.engines = append(cc.engines, e)
 	}
 	bus.AttachController(cc)
 	net.Attach(node, cc.deliver)
@@ -232,7 +338,7 @@ func (cc *Controller) PendingOps() int { return len(cc.homeOps) + len(cc.mshr) }
 // stall snapshots).
 func (cc *Controller) QueueDepths(i int) (resp, req, bus int) {
 	e := cc.engines[i]
-	return len(e.respQ), len(e.reqQ), len(e.busQ)
+	return e.respQ.len(), e.reqQ.len(), e.busQ.len()
 }
 
 // EngineBusy reports whether engine i is executing a handler right now.
@@ -266,7 +372,7 @@ func (cc *Controller) DumpPending() string {
 	}
 	for i, e := range cc.engines {
 		fmt.Fprintf(&b, "node %d engine %d busy=%v busQ=%d reqQ=%d respQ=%d\n",
-			cc.node, i, e.busy, len(e.busQ), len(e.reqQ), len(e.respQ))
+			cc.node, i, e.busy, e.busQ.len(), e.reqQ.len(), e.respQ.len())
 	}
 	return b.String()
 }
@@ -302,14 +408,14 @@ func (cc *Controller) StateSnapshot() string {
 	}
 	for i, e := range cc.engines {
 		fmt.Fprintf(&b, "e%d:b%vs%d", i, e.busy, e.netStreak)
-		for _, w := range e.respQ {
-			fmt.Fprintf(&b, "R%s@%#x", w.label(), cc.lineOf(w))
+		for _, w := range e.respQ.all() {
+			fmt.Fprintf(&b, "R%s@%#x", w.label(), cc.lineOf(&w))
 		}
-		for _, w := range e.reqQ {
-			fmt.Fprintf(&b, "Q%s@%#x", w.label(), cc.lineOf(w))
+		for _, w := range e.reqQ.all() {
+			fmt.Fprintf(&b, "Q%s@%#x", w.label(), cc.lineOf(&w))
 		}
-		for _, w := range e.busQ {
-			fmt.Fprintf(&b, "B%s@%#x", w.label(), cc.lineOf(w))
+		for _, w := range e.busQ.all() {
+			fmt.Fprintf(&b, "B%s@%#x", w.label(), cc.lineOf(&w))
 		}
 		b.WriteByte(';')
 	}
@@ -404,12 +510,12 @@ func (cc *Controller) Snoop(txn *smpbus.Txn) smpbus.SnoopResult {
 // instead: the requesting processor sees RetryNeeded and backs off.
 func (cc *Controller) AcceptDeferred(txn *smpbus.Txn) {
 	e := cc.engineFor(txn.Line)
-	if cc.cfg.QueueDepth > 0 && len(e.busQ) >= cc.cfg.QueueDepth {
+	if cc.cfg.QueueDepth > 0 && e.busQ.len() >= cc.cfg.QueueDepth {
 		cc.st.BusAborts++
 		cc.bus.Abort(txn)
 		return
 	}
-	w := &work{arrival: cc.eng.Now(), txn: txn}
+	w := work{arrival: cc.eng.Now(), txn: txn}
 	cc.st.NoteArrival(w.arrival)
 	e.enqueue(w)
 }
@@ -435,7 +541,7 @@ func (cc *Controller) deliver(src int, payload interface{}) {
 	if !ok {
 		panic(fmt.Sprintf("core: unexpected payload %T", payload))
 	}
-	w := &work{arrival: cc.eng.Now(), msg: msg}
+	w := work{arrival: cc.eng.Now(), msg: msg}
 	e := cc.engineFor(msg.Line)
 	if msg.IsResponse() {
 		isData := msg.Type == protocol.MsgDataShared ||
@@ -455,7 +561,7 @@ func (cc *Controller) deliver(src int, payload interface{}) {
 		// handler dispatch. Non-NACKable requests (forwarded interventions,
 		// invalidations, write-backs) ride guaranteed channels with
 		// reserved buffering and are always accepted.
-		full := cc.cfg.QueueDepth > 0 && len(e.reqQ) >= cc.cfg.QueueDepth
+		full := cc.cfg.QueueDepth > 0 && e.reqQ.len() >= cc.cfg.QueueDepth
 		if msg.Nackable() && (full || cc.forceNack > 0) {
 			if !full {
 				cc.forceNack--
@@ -467,6 +573,7 @@ func (cc *Controller) deliver(src int, payload interface{}) {
 				Requester: msg.Requester, Excl: msg.Type == protocol.MsgReadExReq,
 				Epoch: msg.Epoch, Txn: msg.Txn,
 			})
+			cc.freeMsg(msg)
 			return
 		}
 	}
@@ -503,17 +610,92 @@ func (cc *Controller) send(at sim.Time, dst int, msg *protocol.Msg) {
 	if cc.hook != nil {
 		cc.hook.Send(cc.node, cc.inDispatch, cc.curTrigger, cc.curHandler, msg.Type)
 	}
-	cc.eng.At(at, func() {
-		cc.net.Send(cc.node, dst, msg.Flits(cc.cfg), msg)
+	s := cc.takeSlot()
+	s.dst = dst
+	s.msg = cc.newMsg()
+	*s.msg = *msg
+	cc.at(at, s, func(cc *Controller, s *slot) {
+		cc.net.Send(cc.node, s.dst, s.msg.Flits(cc.cfg), s.msg)
 	})
 }
+
+// ---- slots ----------------------------------------------------------------
+
+// takeSlot returns a free slot, making (and binding) one when none is free.
+func (cc *Controller) takeSlot() *slot {
+	if n := len(cc.slots); n > 0 {
+		s := cc.slots[n-1]
+		cc.slots = cc.slots[:n-1]
+		return s
+	}
+	s := &slot{cc: cc}
+	s.txn = smpbus.Txn{Src: smpbus.CCSrc, Done: s.complete}
+	s.runFn = func() {
+		s.run(s.cc, s)
+		s.cc.release(s)
+	}
+	s.issueFn = func() { s.cc.bus.Issue(&s.txn) }
+	return s
+}
+
+// opSlot takes a slot carrying op.
+func (cc *Controller) opSlot(op *homeOp) *slot {
+	s := cc.takeSlot()
+	s.op = op
+	return s
+}
+
+// release returns s to the free list. Nothing may still reach s: its bus
+// transaction has had its final outcome, or its action has run.
+func (cc *Controller) release(s *slot) {
+	s.op, s.m, s.msg, s.run, s.done = nil, nil, nil, nil, nil
+	cc.slots = append(cc.slots, s)
+}
+
+// at runs fn(cc, s) at cycle t and then releases s.
+func (cc *Controller) at(t sim.Time, s *slot, fn func(cc *Controller, s *slot)) {
+	s.run = fn
+	cc.eng.At(t, s.runFn)
+}
+
+// onComplete runs fn(cc, s) right after the current issue of txn completes
+// (txn's one-shot completion hook) and then releases s.
+func (cc *Controller) onComplete(txn *smpbus.Txn, s *slot, fn func(cc *Controller, s *slot)) {
+	s.run = fn
+	txn.OnComplete(s.runFn)
+}
+
+// issueAt issues s's bus transaction at cycle t. done (nil for
+// fire-and-forget transactions) receives the final outcome before the slot
+// is released.
+func (cc *Controller) issueAt(t sim.Time, s *slot, kind smpbus.Kind, line uint64, homeLocal bool, data uint64,
+	done func(cc *Controller, s *slot, o smpbus.Outcome)) {
+	s.txn.Kind, s.txn.Line, s.txn.HomeLocal, s.txn.Data = kind, line, homeLocal, data
+	s.done = done
+	cc.eng.At(t, s.issueFn)
+}
+
+// newMsg returns a message body from the free list, or a fresh one.
+func (cc *Controller) newMsg() *protocol.Msg {
+	if n := len(cc.msgs); n > 0 {
+		m := cc.msgs[n-1]
+		cc.msgs = cc.msgs[:n-1]
+		return m
+	}
+	return new(protocol.Msg)
+}
+
+// freeMsg releases a delivered message body into this (the receiving)
+// controller's free list. The caller must hold the last reference: the
+// message was dropped, or its work item was dispatched without parking.
+func (cc *Controller) freeMsg(m *protocol.Msg) { cc.msgs = append(cc.msgs, m) }
 
 // ---- dispatch -------------------------------------------------------------
 
 // queueLen returns the engine's total queued work plus any in-service
 // handler (the dynamic split's load metric).
 func (e *engine) queueLen() int {
-	n := len(e.busQ) + len(e.reqQ) + len(e.respQ)
+	n := e.busQ.len() + e.reqQ.len() + e.respQ.len()
 	if e.busy {
 		n++
 	}
@@ -524,7 +706,7 @@ func (e *engine) queueLen() int {
 // transactions to busQ, network responses to respQ, network requests to
 // reqQ — records the insertion, opens w's controller-queue span, and
 // kicks the engine.
-func (e *engine) enqueue(w *work) {
+func (e *engine) enqueue(w work) {
 	q, queue := obs.QReq, &e.reqQ
 	switch {
 	case w.txn != nil:
@@ -532,9 +714,9 @@ func (e *engine) enqueue(w *work) {
 	case w.msg.IsResponse():
 		q, queue = obs.QResp, &e.respQ
 	}
-	*queue = append(*queue, w)
+	queue.push(w)
 	if cc := e.cc; cc.tr != nil {
-		cc.tr.Enqueue(w.arrival, cc.node, e.idx, q, len(*queue), w.label(), cc.lineOf(w))
+		cc.tr.Enqueue(w.arrival, cc.node, e.idx, q, queue.len(), w.label(), cc.lineOf(&w))
 		txn, epoch := w.spanTxn()
 		cc.tr.SpanBegin(txn, obs.StageCCQueue, epoch, w.arrival)
 	}
@@ -553,28 +735,12 @@ func (e *engine) kick() {
 	e.dispatch(w)
 }
 
-// takeResp removes the head of the response queue, tracing the removal.
-func (e *engine) takeResp() *work {
-	w := e.respQ[0]
-	e.respQ = e.respQ[1:]
-	e.cc.tr.Dequeue(e.cc.eng.Now(), e.cc.node, e.idx, obs.QResp, len(e.respQ), e.cc.lineOf(w))
-	return w
-}
-
-// takeReq removes the head of the network-request queue.
-func (e *engine) takeReq() *work {
-	w := e.reqQ[0]
-	e.reqQ = e.reqQ[1:]
-	e.cc.tr.Dequeue(e.cc.eng.Now(), e.cc.node, e.idx, obs.QReq, len(e.reqQ), e.cc.lineOf(w))
-	return w
-}
-
-// takeBus removes the head of the bus-request queue.
-func (e *engine) takeBus() *work {
-	w := e.busQ[0]
-	e.busQ = e.busQ[1:]
-	e.cc.tr.Dequeue(e.cc.eng.Now(), e.cc.node, e.idx, obs.QBus, len(e.busQ), e.cc.lineOf(w))
-	return w
+// take moves the head of queue into the engine's in-service slot, tracing
+// the removal.
+func (e *engine) take(queue *workQueue, q int) *work {
+	e.cur = queue.take()
+	e.cc.tr.Dequeue(e.cc.eng.Now(), e.cc.node, e.idx, q, queue.len(), e.cc.lineOf(&e.cur))
+	return &e.cur
 }
 
 // pick removes and returns the next work item per the arbitration policy.
@@ -584,22 +750,22 @@ func (e *engine) pick() *work {
 	}
 	// Paper policy: responses, then network requests, then bus requests —
 	// with the anti-livelock exception for long-waiting bus requests.
-	if len(e.respQ) > 0 {
-		return e.takeResp()
+	if e.respQ.len() > 0 {
+		return e.take(&e.respQ, obs.QResp)
 	}
-	if len(e.busQ) > 0 && len(e.reqQ) > 0 && e.netStreak >= e.cc.cfg.LivelockLimit {
+	if e.busQ.len() > 0 && e.reqQ.len() > 0 && e.netStreak >= e.cc.cfg.LivelockLimit {
 		e.netStreak = 0
-		return e.takeBus()
+		return e.take(&e.busQ, obs.QBus)
 	}
-	if len(e.reqQ) > 0 {
-		if len(e.busQ) > 0 {
+	if e.reqQ.len() > 0 {
+		if e.busQ.len() > 0 {
 			e.netStreak++
 		}
-		return e.takeReq()
+		return e.take(&e.reqQ, obs.QReq)
 	}
-	if len(e.busQ) > 0 {
+	if e.busQ.len() > 0 {
 		e.netStreak = 0
-		return e.takeBus()
+		return e.take(&e.busQ, obs.QBus)
 	}
 	return nil
 }
@@ -607,28 +773,30 @@ func (e *engine) pick() *work {
 func (e *engine) pickFIFO() *work {
 	best := -1 // 0=resp 1=req 2=bus
 	var bestAt sim.Time
-	if len(e.respQ) > 0 {
-		best, bestAt = 0, e.respQ[0].arrival
+	if e.respQ.len() > 0 {
+		best, bestAt = 0, e.respQ.front().arrival
 	}
-	if len(e.reqQ) > 0 && (best < 0 || e.reqQ[0].arrival < bestAt) {
-		best, bestAt = 1, e.reqQ[0].arrival
+	if e.reqQ.len() > 0 && (best < 0 || e.reqQ.front().arrival < bestAt) {
+		best, bestAt = 1, e.reqQ.front().arrival
 	}
-	if len(e.busQ) > 0 && (best < 0 || e.busQ[0].arrival < bestAt) {
+	if e.busQ.len() > 0 && (best < 0 || e.busQ.front().arrival < bestAt) {
 		best = 2
 	}
 	switch best {
 	case 0:
-		return e.takeResp()
+		return e.take(&e.respQ, obs.QResp)
 	case 1:
-		return e.takeReq()
+		return e.take(&e.reqQ, obs.QReq)
 	case 2:
-		return e.takeBus()
+		return e.take(&e.busQ, obs.QBus)
 	}
 	return nil
 }
 
 // dispatch runs w's handler, occupying the engine for the handler's
-// occupancy, then re-arbitrates.
+// occupancy, then re-arbitrates. A network message that the handler did
+// not park on a waiter list is done with once the handler returns, and its
+// body goes back to this controller's free list.
 func (e *engine) dispatch(w *work) {
 	cc := e.cc
 	now := cc.eng.Now()
@@ -661,10 +829,11 @@ func (e *engine) dispatch(w *work) {
 	if cc.tr.Enabled() {
 		cc.tr.Dispatch(now, cc.node, e.idx, w.label(), cc.lineOf(w), occ, now-w.arrival)
 	}
-	cc.eng.At(now+occ, func() {
-		e.busy = false
-		e.kick()
-	})
+	cc.eng.At(now+occ, e.doneFn)
+	if w.msg != nil && !w.parked {
+		cc.freeMsg(w.msg)
+	}
+	*w = work{}
 }
 
 // charge computes a handler's total occupancy and its action time (the
@@ -706,18 +875,20 @@ func (cc *Controller) perInvalCost() sim.Time {
 	return t
 }
 
-// requeue parks w on a waiter list with the busy-check occupancy.
-func (cc *Controller) requeue(list *[]*work, w *work) sim.Time {
+// requeue parks a copy of w on a waiter list with the busy-check
+// occupancy; the copy now owns w's message.
+func (cc *Controller) requeue(list *[]work, w *work) sim.Time {
 	occ, _ := cc.charge(protocol.HBusyRequeue, 0, 0)
-	*list = append(*list, w)
+	*list = append(*list, *w)
+	w.parked = true
 	return occ
 }
 
 // replay re-enqueues parked work after the blocking state cleared.
-func (cc *Controller) replay(ws []*work) {
+func (cc *Controller) replay(ws []work) {
 	for _, w := range ws {
 		w.arrival = cc.eng.Now()
-		cc.engineFor(cc.lineOf(w)).enqueue(w)
+		cc.engineFor(cc.lineOf(&w)).enqueue(w)
 	}
 }
 

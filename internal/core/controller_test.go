@@ -202,9 +202,9 @@ func TestArbitrationPrefersResponses(t *testing.T) {
 	line := r.space.AllocOnNode(4096, 1)
 	respMsg := &protocol.Msg{Type: protocol.MsgInvalAck, Line: line}
 	reqMsg := &protocol.Msg{Type: protocol.MsgInval, Line: line}
-	e.respQ = append(e.respQ, &work{msg: respMsg})
-	e.reqQ = append(e.reqQ, &work{msg: reqMsg})
-	e.busQ = append(e.busQ, &work{txn: &smpbus.Txn{Kind: smpbus.Read, Line: line}})
+	e.respQ.push(work{msg: respMsg})
+	e.reqQ.push(work{msg: reqMsg})
+	e.busQ.push(work{txn: &smpbus.Txn{Kind: smpbus.Read, Line: line}})
 
 	if w := e.pick(); w.msg != respMsg {
 		t.Fatal("responses must dispatch first")
@@ -225,9 +225,9 @@ func TestArbitrationLivelockException(t *testing.T) {
 	e := r.ccs[0].engines[0]
 	line := r.space.AllocOnNode(4096, 1)
 	busWork := &work{txn: &smpbus.Txn{Kind: smpbus.Read, Line: line}}
-	e.busQ = append(e.busQ, busWork)
+	e.busQ.push(*busWork)
 	for i := 0; i < 5; i++ {
-		e.reqQ = append(e.reqQ, &work{msg: &protocol.Msg{Type: protocol.MsgInval, Line: line}})
+		e.reqQ.push(work{msg: &protocol.Msg{Type: protocol.MsgInval, Line: line}})
 	}
 	// Two network requests dispatch; the third pick must serve the bus.
 	if w := e.pick(); w.msg == nil {
@@ -236,7 +236,7 @@ func TestArbitrationLivelockException(t *testing.T) {
 	if w := e.pick(); w.msg == nil {
 		t.Fatal("pick 2 should be a network request")
 	}
-	if w := e.pick(); w != busWork {
+	if w := e.pick(); w.txn != busWork.txn {
 		t.Fatal("anti-livelock exception should serve the waiting bus request")
 	}
 	if e.netStreak != 0 {
@@ -250,12 +250,12 @@ func TestArbitrationFIFO(t *testing.T) {
 	line := r.space.AllocOnNode(4096, 1)
 	first := &work{arrival: 5, txn: &smpbus.Txn{Kind: smpbus.Read, Line: line}}
 	second := &work{arrival: 10, msg: &protocol.Msg{Type: protocol.MsgInvalAck, Line: line}}
-	e.busQ = append(e.busQ, first)
-	e.respQ = append(e.respQ, second)
-	if w := e.pick(); w != first {
+	e.busQ.push(*first)
+	e.respQ.push(*second)
+	if w := e.pick(); w.txn != first.txn {
 		t.Fatal("FIFO must dispatch the earliest arrival even from the bus queue")
 	}
-	if w := e.pick(); w != second {
+	if w := e.pick(); w.msg != second.msg {
 		t.Fatal("second pick wrong")
 	}
 }
@@ -322,14 +322,12 @@ func TestDynamicSplitPicksShortestQueue(t *testing.T) {
 	cc := r.ccs[0]
 	line := r.space.AllocOnNode(4096, 1)
 	// Load engine 0 with queued work; the next request must go to engine 1.
-	cc.engines[0].reqQ = append(cc.engines[0].reqQ,
-		&work{msg: &protocol.Msg{Type: protocol.MsgInval, Line: line}})
+	cc.engines[0].reqQ.push(work{msg: &protocol.Msg{Type: protocol.MsgInval, Line: line}})
 	if e := cc.engineFor(line); e != cc.engines[1] {
 		t.Fatal("dynamic split should pick the idle engine")
 	}
 	// Balance them; ties resolve to engine 0.
-	cc.engines[1].reqQ = append(cc.engines[1].reqQ,
-		&work{msg: &protocol.Msg{Type: protocol.MsgInval, Line: line}})
+	cc.engines[1].reqQ.push(work{msg: &protocol.Msg{Type: protocol.MsgInval, Line: line}})
 	if e := cc.engineFor(line); e != cc.engines[0] {
 		t.Fatal("dynamic split ties should resolve to the first engine")
 	}

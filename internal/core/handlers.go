@@ -74,11 +74,13 @@ func (cc *Controller) handleRemoteBus(w *work) sim.Time {
 // invalidations for the line are replayed.
 func (cc *Controller) mshrFill(m *mshrEntry, shared bool) {
 	m.filling = true
-	line := m.line
-	m.parked.OnComplete(func() {
-		cur := cc.mshr[line]
+	s := cc.takeSlot()
+	s.m = m
+	cc.onComplete(m.parked, s, func(cc *Controller, s *slot) {
+		m := s.m
+		cur := cc.mshr[m.line]
 		if cur == m {
-			delete(cc.mshr, line)
+			delete(cc.mshr, m.line)
 			cc.replay(m.waiters)
 		}
 	})
@@ -186,7 +188,7 @@ func (cc *Controller) homeLocalReadEx(w *work) sim.Time {
 		cc.spanHome(w, act)
 		cc.homeOps[line] = op
 		if upgrade {
-			cc.eng.At(act, func() { cc.finishOp(op) })
+			cc.at(act, cc.opSlot(op), func(cc *Controller, s *slot) { cc.finishOp(s.op) })
 		} else {
 			occ += cc.homeFetchStall()
 			op.needData = true
@@ -219,27 +221,21 @@ func (cc *Controller) fetchForOp(at sim.Time, op *homeOp, exclusive bool) {
 	if exclusive {
 		kind = smpbus.FetchEx
 	}
-	var txn *smpbus.Txn
-	txn = &smpbus.Txn{
-		Kind: kind, Line: op.line, Src: smpbus.CCSrc, HomeLocal: true,
-		Done: func(o smpbus.Outcome) {
-			switch o.Status {
-			case smpbus.RetryNeeded:
-				// A live processor transaction on this line is mid-flight;
-				// fetch again once it lands.
-				cc.eng.After(cc.cfg.BusRetry, func() { cc.bus.Issue(txn) })
-			case smpbus.OK:
-				st, se := op.spanTxn()
-				cc.tr.SpanEnd(st, obs.StageMem, se, cc.eng.Now())
-				op.haveData = true
-				op.data = o.Data
-				cc.finishIfReady(op)
-			default:
-				panic(fmt.Sprintf("core: home fetch of local line %#x failed: %+v", op.line, o))
-			}
-		},
-	}
-	cc.eng.At(at, func() { cc.bus.Issue(txn) })
+	// A bounce off a live processor transaction on this line re-issues the
+	// fetch once it lands (slot.complete).
+	cc.issueAt(at, cc.opSlot(op), kind, op.line, true, 0, func(cc *Controller, s *slot, o smpbus.Outcome) {
+		op := s.op
+		switch o.Status {
+		case smpbus.OK:
+			st, se := op.spanTxn()
+			cc.tr.SpanEnd(st, obs.StageMem, se, cc.eng.Now())
+			op.haveData = true
+			op.data = o.Data
+			cc.finishIfReady(op)
+		default:
+			panic(fmt.Sprintf("core: home fetch of local line %#x failed: %+v", op.line, o))
+		}
+	})
 }
 
 // finishIfReady completes the op if nothing remains outstanding.
@@ -275,7 +271,7 @@ func (cc *Controller) finishOp(op *homeOp) {
 			Data: op.data, Epoch: op.epoch, Txn: op.txn,
 		})
 	} else if op.parked != nil {
-		op.parked.OnComplete(func() { cc.retireOp(op) })
+		cc.onComplete(op.parked, cc.opSlot(op), func(cc *Controller, s *slot) { cc.retireOp(s.op) })
 		cc.bus.Supply(op.parked, !op.upgrade, !op.excl, op.data)
 		return
 	}
@@ -493,52 +489,49 @@ func (cc *Controller) ownerFetch(w *work, exclusive bool) sim.Time {
 	if exclusive {
 		kind = smpbus.FetchEx
 	}
-	requester := msg.Requester
-	spanID, spanEpoch := msg.Txn, msg.Epoch
-	var txn *smpbus.Txn
-	txn = &smpbus.Txn{
-		Kind: kind, Line: line, Src: smpbus.CCSrc, HomeLocal: false,
-		Done: func(o smpbus.Outcome) {
-			switch o.Status {
-			case smpbus.RetryNeeded:
-				// A line transfer is in flight on our bus; retry after it
-				// lands.
-				cc.eng.After(cc.cfg.BusRetry, func() { cc.bus.Issue(txn) })
-			case smpbus.NoData:
+	s := cc.takeSlot()
+	s.dst, s.requester = home, msg.Requester
+	s.exclusive, s.fromHome = exclusive, fromHome
+	s.spanID, s.spanEpoch = msg.Txn, msg.Epoch
+	// A bounce off a line transfer in flight on our bus retries after it
+	// lands (slot.complete).
+	cc.issueAt(act, s, kind, line, false, 0, func(cc *Controller, s *slot, o smpbus.Outcome) {
+		line, home, requester := s.txn.Line, s.dst, s.requester
+		exclusive, spanID, spanEpoch := s.exclusive, s.spanID, s.spanEpoch
+		switch o.Status {
+		case smpbus.NoData:
+			cc.send(cc.eng.Now(), home, &protocol.Msg{
+				Type: protocol.MsgInterventionMiss, Line: line, Src: cc.node,
+			})
+		case smpbus.OK:
+			cc.tr.SpanEnd(spanID, obs.StageMem, spanEpoch, cc.eng.Now())
+			if s.fromHome {
 				cc.send(cc.eng.Now(), home, &protocol.Msg{
-					Type: protocol.MsgInterventionMiss, Line: line, Src: cc.node,
+					Type: protocol.MsgFetchDataHome, Line: line, Src: cc.node,
+					Dirty: o.Dirty, Excl: exclusive, Data: o.Data,
+					Txn: spanID, Epoch: spanEpoch,
 				})
-			case smpbus.OK:
-				cc.tr.SpanEnd(spanID, obs.StageMem, spanEpoch, cc.eng.Now())
-				if fromHome {
-					cc.send(cc.eng.Now(), home, &protocol.Msg{
-						Type: protocol.MsgFetchDataHome, Line: line, Src: cc.node,
-						Dirty: o.Dirty, Excl: exclusive, Data: o.Data,
-						Txn: spanID, Epoch: spanEpoch,
-					})
-					return
-				}
-				cc.send(cc.eng.Now(), requester, &protocol.Msg{
-					Type: protocol.MsgOwnerData, Line: line, Src: cc.node,
-					Requester: requester, Excl: exclusive, Data: o.Data,
-					Epoch: spanEpoch, Txn: spanID,
-				})
-				if exclusive {
-					cc.send(cc.eng.Now(), home, &protocol.Msg{
-						Type: protocol.MsgFetchExDone, Line: line, Src: cc.node,
-					})
-				} else {
-					cc.send(cc.eng.Now(), home, &protocol.Msg{
-						Type: protocol.MsgFetchDone, Line: line, Src: cc.node,
-						Dirty: o.Dirty, Data: o.Data,
-					})
-				}
-			default:
-				panic(fmt.Sprintf("core: unexpected intervention outcome %+v on line %#x", o, line))
+				return
 			}
-		},
-	}
-	cc.eng.At(act, func() { cc.bus.Issue(txn) })
+			cc.send(cc.eng.Now(), requester, &protocol.Msg{
+				Type: protocol.MsgOwnerData, Line: line, Src: cc.node,
+				Requester: requester, Excl: exclusive, Data: o.Data,
+				Epoch: spanEpoch, Txn: spanID,
+			})
+			if exclusive {
+				cc.send(cc.eng.Now(), home, &protocol.Msg{
+					Type: protocol.MsgFetchExDone, Line: line, Src: cc.node,
+				})
+			} else {
+				cc.send(cc.eng.Now(), home, &protocol.Msg{
+					Type: protocol.MsgFetchDone, Line: line, Src: cc.node,
+					Dirty: o.Dirty, Data: o.Data,
+				})
+			}
+		default:
+			panic(fmt.Sprintf("core: unexpected intervention outcome %+v on line %#x", o, line))
+		}
+	})
 	return occ
 }
 
@@ -551,20 +544,14 @@ func (cc *Controller) sharerInval(w *work) sim.Time {
 		return cc.requeue(&m.waiters, w)
 	}
 	occ, act := cc.charge(protocol.HInvalAtSharer, 0, 0)
-	var txn *smpbus.Txn
-	txn = &smpbus.Txn{
-		Kind: smpbus.Inval, Line: line, Src: smpbus.CCSrc, HomeLocal: false,
-		Done: func(o smpbus.Outcome) {
-			if o.Status == smpbus.RetryNeeded {
-				cc.eng.After(cc.cfg.BusRetry, func() { cc.bus.Issue(txn) })
-				return
-			}
-			cc.send(cc.eng.Now(), home, &protocol.Msg{
-				Type: protocol.MsgInvalAck, Line: line, Src: cc.node,
-			})
-		},
-	}
-	cc.eng.At(act, func() { cc.bus.Issue(txn) })
+	s := cc.takeSlot()
+	s.dst = home
+	cc.issueAt(act, s, smpbus.Inval, line, false, 0, func(cc *Controller, s *slot, _ smpbus.Outcome) {
+		home, line := s.dst, s.txn.Line
+		cc.send(cc.eng.Now(), home, &protocol.Msg{
+			Type: protocol.MsgInvalAck, Line: line, Src: cc.node,
+		})
+	})
 	return occ
 }
 
@@ -586,7 +573,7 @@ func (cc *Controller) homeInvalAck(w *work) sim.Time {
 	}
 	occ, act := cc.charge(h, 0, 0)
 	if op.acksLeft == 0 {
-		cc.eng.At(act, func() { cc.finishIfReady(op) })
+		cc.at(act, cc.opSlot(op), func(cc *Controller, s *slot) { cc.finishIfReady(s.op) })
 	}
 	return occ
 }
@@ -621,7 +608,9 @@ func (cc *Controller) requesterData(w *work) sim.Time {
 		cc.st.RetryLat.Add(cc.eng.Now() - m.issuedAt)
 	}
 	m.data = msg.Data
-	cc.eng.At(act, func() { cc.mshrFill(m, shared) })
+	s := cc.takeSlot()
+	s.m, s.shared = m, shared
+	cc.at(act, s, func(cc *Controller, s *slot) { cc.mshrFill(s.m, s.shared) })
 	return occ
 }
 
@@ -638,7 +627,7 @@ func (cc *Controller) homeFetchDone(w *work) sim.Time {
 		cc.memoryWrite(act, msg.Line, msg.Data)
 	}
 	op.intervention = false
-	cc.eng.At(act, func() { cc.finishIfReadyNoResponse(op) })
+	cc.at(act, cc.opSlot(op), func(cc *Controller, s *slot) { cc.finishIfReadyNoResponse(s.op) })
 	return occ
 }
 
@@ -651,7 +640,7 @@ func (cc *Controller) homeFetchExDone(w *work) sim.Time {
 	}
 	occ, act := cc.charge(protocol.HOwnerAckAtHome, 0, 0)
 	op.intervention = false
-	cc.eng.At(act, func() { cc.finishIfReadyNoResponse(op) })
+	cc.at(act, cc.opSlot(op), func(cc *Controller, s *slot) { cc.finishIfReadyNoResponse(s.op) })
 	return occ
 }
 
@@ -676,7 +665,7 @@ func (cc *Controller) homeFetchData(w *work) sim.Time {
 	op.intervention = false
 	op.haveData = true
 	op.data = msg.Data
-	cc.eng.At(act, func() { cc.finishIfReady(op) })
+	cc.at(act, cc.opSlot(op), func(cc *Controller, s *slot) { cc.finishIfReady(s.op) })
 	return occ
 }
 
@@ -691,7 +680,7 @@ func (cc *Controller) homeInterventionMiss(w *work) sim.Time {
 	occ, act := cc.charge(protocol.HInterventionMissAtHome, 0, 0)
 	op.intervention = false
 	op.waitWB = true
-	cc.eng.At(act, func() { cc.finishIfReady(op) })
+	cc.at(act, cc.opSlot(op), func(cc *Controller, s *slot) { cc.finishIfReady(s.op) })
 	return occ
 }
 
@@ -726,7 +715,7 @@ func (cc *Controller) homeWriteBack(w *work) sim.Time {
 			}
 			op.finalDir = e
 		}
-		cc.eng.At(act, func() { cc.finishIfReady(op) })
+		cc.at(act, cc.opSlot(op), func(cc *Controller, s *slot) { cc.finishIfReady(s.op) })
 		return occ
 	}
 	var e directory.Entry
@@ -761,10 +750,5 @@ func (cc *Controller) finishIfReadyNoResponse(op *homeOp) {
 // write-back (contends for the bus and the banks, occupies no engine time
 // beyond what the handler already charged).
 func (cc *Controller) memoryWrite(at sim.Time, line uint64, data uint64) {
-	txn := &smpbus.Txn{
-		Kind: smpbus.WriteBack, Line: line, Src: smpbus.CCSrc, HomeLocal: true,
-		Data: data,
-		Done: func(smpbus.Outcome) {},
-	}
-	cc.eng.At(at, func() { cc.bus.Issue(txn) })
+	cc.issueAt(at, cc.takeSlot(), smpbus.WriteBack, line, true, data, nil)
 }

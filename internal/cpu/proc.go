@@ -99,6 +99,8 @@ type Proc struct {
 	// resume the program, issue the pending miss, re-evaluate it after a
 	// bus back-off, and run nextOp.
 	resumeFn, issueFn, retryFn, execFn func()
+	// wbFree is the free list of the write-back buffer's transactions.
+	wbFree []*wbSlot
 
 	pendingComp int64 // program-side accumulated compute cycles
 
@@ -256,6 +258,10 @@ func (p *Proc) Abort() { p.stop() }
 func (p *Proc) Resume() {
 	p.resumeProgram()
 }
+
+// ResumeFunc returns Resume as a callback bound once per processor, so a
+// synchronization handler can schedule it without allocating.
+func (p *Proc) ResumeFunc() func() { return p.resumeFn }
 
 // SyncAccess models a load/store issued by the synchronization layer on
 // behalf of the parked program (a lock-line acquisition or release). done
@@ -565,23 +571,45 @@ func (p *Proc) installL1(line uint64) {
 	p.l1.Insert(line, cache.Shared) // L1 tracks presence only
 }
 
+// wbSlot is one write-back buffer entry: an eviction's bus transaction
+// with its callbacks bound once, reused from the processor's free list.
+type wbSlot struct {
+	txn smpbus.Txn
+	// retryFn re-issues the write-back after a bus back-off.
+	retryFn func()
+}
+
 // writeBack issues an eviction write-back (fire and forget; the write-back
 // buffer is not a modelled resource beyond the bus itself).
 func (p *Proc) writeBack(line uint64) {
 	p.tr.Cache(p.eng.Now(), p.node, p.src, line, "writeback", "")
-	txn := &smpbus.Txn{
-		Kind:      smpbus.WriteBack,
-		Line:      line,
-		Src:       p.src,
-		HomeLocal: p.space.Home(line) == p.node,
-		Data:      p.vals[line],
-		Done: func(o smpbus.Outcome) {
+	var s *wbSlot
+	if n := len(p.wbFree); n > 0 {
+		s = p.wbFree[n-1]
+		p.wbFree = p.wbFree[:n-1]
+	} else {
+		s = &wbSlot{}
+		s.txn = smpbus.Txn{Kind: smpbus.WriteBack, Src: p.src, Done: func(o smpbus.Outcome) {
+			// A bounced write-back keeps its slot through the back-off;
+			// a completed one is done with it.
 			if o.Status == smpbus.RetryNeeded {
-				p.eng.After(p.cfg.BusRetry, func() { p.writeBack(line) })
+				p.eng.After(p.cfg.BusRetry, s.retryFn)
+				return
 			}
-		},
+			p.wbFree = append(p.wbFree, s)
+		}}
+		s.retryFn = func() {
+			// The retry re-evaluates the home and the line's current value,
+			// so it releases the slot and issues afresh.
+			line := s.txn.Line
+			p.wbFree = append(p.wbFree, s)
+			p.writeBack(line)
+		}
 	}
-	p.bus.Issue(txn)
+	s.txn.Line = line
+	s.txn.HomeLocal = p.space.Home(line) == p.node
+	s.txn.Data = p.vals[line]
+	p.bus.Issue(&s.txn)
 }
 
 // finishMiss records the completed miss's service time.

@@ -296,3 +296,50 @@ func BenchmarkL1HitHandoff(b *testing.B) {
 		b.Fatalf("%d L1 hits in %d steps", hits, b.N)
 	}
 }
+
+// wbRecorder records the lines of the write-backs that reach the snoop
+// (a bounced write-back never does).
+type wbRecorder struct{ lines []uint64 }
+
+func (r *wbRecorder) Snoop(txn *smpbus.Txn) smpbus.SnoopResult {
+	if txn.Kind == smpbus.WriteBack {
+		r.lines = append(r.lines, txn.Line)
+	}
+	return smpbus.SnoopNone
+}
+
+// TestWriteBackRetryKeepsItsSlot pins the write-back slot release: a
+// write-back bounced by a live same-line transfer keeps its slot through
+// the back-off. A second eviction during the back-off must take another
+// slot; had the bounce released the first, the second would have taken it
+// over and the first line would never be written back.
+func TestWriteBackRetryKeepsItsSlot(t *testing.T) {
+	eng, cfg, space, bus, ps := testRig(t, 2)
+	cfg.BusRetry = 200
+	rec := &wbRecorder{}
+	bus.AttachSnooper(rec)
+	base := space.Alloc(4096)
+	lineA, lineB := base, base+uint64(cfg.LineSize)
+	p, other := ps[0], ps[1]
+	p.vals[lineA], p.vals[lineB] = 111, 222
+	eng.At(0, func() {
+		// other's read of lineA is a live memory transfer when p's
+		// write-back of lineA strobes, so the write-back bounces.
+		bus.Issue(&smpbus.Txn{Kind: smpbus.Read, Line: lineA, Src: other.src, HomeLocal: true,
+			Done: func(smpbus.Outcome) {}})
+		p.writeBack(lineA)
+	})
+	eng.At(50, func() { p.writeBack(lineB) })
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if bus.Retries() == 0 {
+		t.Fatal("the write-back of lineA did not bounce")
+	}
+	if len(rec.lines) != 2 || rec.lines[0] != lineB || rec.lines[1] != lineA {
+		t.Fatalf("write-backs reached the bus for %#x, want [%#x %#x]", rec.lines, lineB, lineA)
+	}
+	if len(p.wbFree) != 2 {
+		t.Errorf("%d write-back slots free, want 2", len(p.wbFree))
+	}
+}

@@ -25,7 +25,7 @@ import (
 // attribute every handler's actions to every other).
 var stopSet = map[string]bool{
 	"dispatch": true, "kick": true, "pick": true, "pickFIFO": true,
-	"takeResp": true, "takeReq": true, "takeBus": true, "replay": true,
+	"take": true, "replay": true,
 }
 
 // extractor holds the type-checked packages and the per-run memo tables.

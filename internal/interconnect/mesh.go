@@ -47,10 +47,9 @@ func newMesh(eng *sim.Engine, n int) *mesh {
 	return m
 }
 
-// route returns the sequence of directed links from src to dst under
-// dimension-order routing (X first, then Y).
-func (m *mesh) route(src, dst int) [][2]int {
-	var hops [][2]int
+// route appends the sequence of directed links from src to dst under
+// dimension-order routing (X first, then Y) to hops and returns it.
+func (m *mesh) route(hops [][2]int, src, dst int) [][2]int {
 	r, c := src/m.cols, src%m.cols
 	dr, dc := dst/m.cols, dst%m.cols
 	for c != dc {
@@ -73,4 +72,4 @@ func (m *mesh) route(src, dst int) [][2]int {
 }
 
 // Hops returns the Manhattan distance between two nodes.
-func (m *mesh) Hops(src, dst int) int { return len(m.route(src, dst)) }
+func (m *mesh) Hops(src, dst int) int { return len(m.route(nil, src, dst)) }

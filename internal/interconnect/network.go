@@ -72,6 +72,39 @@ type frame struct {
 	delay   sim.Time
 }
 
+// Cloner is implemented by payloads whose receiver recycles them once they
+// have been delivered (the coherence controller returns message bodies to
+// a free list). The network delivers every accepted message exactly once,
+// except for a fault-injected duplicate on an unreliable link: that copy
+// is a Clone, so recycling one delivery cannot change the other.
+type Cloner interface {
+	Clone() interface{}
+}
+
+// flight is one message in transit, from the output-port grant until the
+// sink has returned. It is taken from the free list of the source node's
+// event engine when the message starts transmitting and released into the
+// destination engine's list after the sink, so every list is only touched
+// by its own engine's events. A serial run has one list, which stays
+// balanced however unevenly the nodes send and receive; a sharded run has
+// one per shard. Its callbacks are bound once, when it is first made: the
+// output-port grant (send), the sharded hand-over to the destination
+// (admit), the input-port grant (in), the sink (arrive), and the next mesh
+// hop (hop).
+type flight struct {
+	src, dst int
+	payload  interface{}
+	// delay is the fault layer's extra traversal delay; ser the
+	// serialization time; head the head flit's arrival at the destination
+	// NI.
+	delay, ser, head sim.Time
+	// hops is the mesh route and hop the index of the next link to take.
+	hops [][2]int
+	hop  int
+
+	sendFn, admitFn, inFn, arriveFn, hopFn func()
+}
+
 // pairHold is a go-back-N recovery window on one (src, dst) pair: the
 // frames queued here re-enter the send path, in order, when the window
 // closes. The coherence protocol relies on per-pair FIFO delivery (an
@@ -126,6 +159,12 @@ type Network struct {
 	// destination (NetReliable only; never populated on a fault-free run).
 	// Per-source maps keep all mutation on the source node's engine.
 	hold []map[int]*pairHold
+	// drainFns[src] frees one of src's output-buffer slots (bound once).
+	drainFns []func()
+	// free holds one free list of flights per event engine, and pool[node]
+	// indexes the list of the engine that owns node (see flight).
+	free [][]*flight
+	pool []int
 }
 
 // New creates the network for the configured node count. tr may be nil.
@@ -140,11 +179,16 @@ func New(eng *sim.Engine, cfg *config.Config, tr *obs.Tracer) *Network {
 		outQueued: make([]int, cfg.Nodes),
 		outWait:   make([][]frame, cfg.Nodes),
 		hold:      make([]map[int]*pairHold, cfg.Nodes),
+		drainFns:  make([]func(), cfg.Nodes),
+		free:      make([][]*flight, 1),
+		pool:      make([]int, cfg.Nodes),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		n.out[i] = sim.NewResource(eng, fmt.Sprintf("ni-out-%d", i))
 		n.in[i] = sim.NewResource(eng, fmt.Sprintf("ni-in-%d", i))
 		n.hold[i] = map[int]*pairHold{}
+		src := i
+		n.drainFns[i] = func() { n.portDrained(src) }
 	}
 	if cfg.Topology == config.TopoMesh2D {
 		n.mesh = newMesh(eng, cfg.Nodes)
@@ -164,10 +208,18 @@ func (n *Network) Shard(engs []*sim.Engine) {
 		panic("interconnect: mesh topology cannot shard")
 	}
 	n.engs = engs
+	lists := map[*sim.Engine]int{}
 	for i := range n.out {
 		n.out[i] = sim.NewResource(engs[i], fmt.Sprintf("ni-out-%d", i))
 		n.in[i] = sim.NewResource(engs[i], fmt.Sprintf("ni-in-%d", i))
+		k, ok := lists[engs[i]]
+		if !ok {
+			k = len(lists)
+			lists[engs[i]] = k
+		}
+		n.pool[i] = k
 	}
+	n.free = make([][]*flight, len(lists))
 }
 
 // engOf returns the engine that owns a node's NI.
@@ -249,6 +301,8 @@ func (n *Network) Send(src, dst, flitCount int, payload interface{}) {
 		copyPayload := payload
 		if n.cfg.NetReliable {
 			copyPayload = &discardFrame{payload: payload}
+		} else if c, ok := payload.(Cloner); ok {
+			copyPayload = c.Clone()
 		}
 		// The duplicate copy needs no ordering: the receiving NI rejects
 		// it (reliable) or the protocol must tolerate it (raw).
@@ -312,33 +366,60 @@ func (n *Network) transmit(src, dst, flitCount int, payload interface{}, delay s
 	atomic.AddUint64(&n.msgs, 1)
 	atomic.AddUint64(&n.flits, uint64(flitCount))
 	atomic.AddInt64(&n.inFlight, 1)
-	track := n.cfg.NIPortDepth > 0
-	if track {
+	if n.cfg.NIPortDepth > 0 {
 		n.outQueued[src]++
 	}
 	if n.tr.Enabled() {
 		name, line, _, _ := obs.DescribePayload(payload)
 		n.tr.NetSend(n.eng.Now(), src, dst, name, line, flitCount)
 	}
-	ser := sim.Time(flitCount) * n.cfg.NetFlitTime
-	eng := n.engOf(src)
-	n.out[src].Acquire(ser, func() {
-		start := eng.Now()
-		if n.tr.Attributing() {
-			_, _, txn, epoch := obs.DescribePayload(payload)
-			n.tr.SpanEnd(txn, obs.StageNIPort, epoch, start)
-			n.tr.SpanBegin(txn, obs.StageWire, epoch, start)
-		}
-		if track {
-			eng.At(start+ser, func() { n.portDrained(src) })
-		}
-		if n.mesh != nil && src != dst {
-			n.sendMesh(src, dst, start+delay, ser, payload)
-			return
-		}
-		headArrives := start + n.cfg.NetLatency + delay
-		n.deliverAt(src, dst, headArrives, ser, payload)
-	})
+	f := n.takeFlight(src)
+	f.src, f.dst, f.payload, f.delay = src, dst, payload, delay
+	f.ser = sim.Time(flitCount) * n.cfg.NetFlitTime
+	n.out[src].Acquire(f.ser, f.sendFn)
+}
+
+// takeFlight returns a free flight from the list of src's engine, making
+// (and binding) one when none is free.
+func (n *Network) takeFlight(src int) *flight {
+	list := &n.free[n.pool[src]]
+	if k := len(*list); k > 0 {
+		f := (*list)[k-1]
+		*list = (*list)[:k-1]
+		return f
+	}
+	f := &flight{}
+	f.sendFn = func() { n.launch(f) }
+	f.admitFn = func() { n.admit(f) }
+	f.inFn = func() {
+		eng := n.engOf(f.dst)
+		eng.At(eng.Now()+f.ser, f.arriveFn)
+	}
+	f.arriveFn = func() { n.arrive(f) }
+	f.hopFn = func() { n.advance(f, n.eng.Now()+n.cfg.NetHopLatency) }
+	return f
+}
+
+// launch runs when the source output port is granted: the message leaves
+// the NI and its head flit starts across the switch (or the mesh).
+func (n *Network) launch(f *flight) {
+	eng := n.engOf(f.src)
+	start := eng.Now()
+	if n.tr.Attributing() {
+		_, _, txn, epoch := obs.DescribePayload(f.payload)
+		n.tr.SpanEnd(txn, obs.StageNIPort, epoch, start)
+		n.tr.SpanBegin(txn, obs.StageWire, epoch, start)
+	}
+	if n.cfg.NIPortDepth > 0 {
+		eng.At(start+f.ser, n.drainFns[f.src])
+	}
+	if n.mesh != nil && f.src != f.dst {
+		f.hops, f.hop = n.mesh.route(f.hops[:0], f.src, f.dst), 0
+		n.advance(f, start+f.delay)
+		return
+	}
+	f.head = start + n.cfg.NetLatency + f.delay
+	n.deliverAt(f)
 }
 
 // portDrained frees one NI output-buffer slot and launches the oldest
@@ -379,67 +460,74 @@ func (n *Network) Brownout(node int, out bool, dur sim.Time) {
 	r.Acquire(dur, func() {})
 }
 
-// sendMesh chains the message across the mesh's links with dimension-order
+// advance chains the message across the mesh's links with dimension-order
 // routing: each hop contends for its directed link, occupies it for the
-// serialization time, and adds the per-hop router latency.
-func (n *Network) sendMesh(src, dst int, start, ser sim.Time, payload interface{}) {
-	hops := n.mesh.route(src, dst)
-	var advance func(i int, t sim.Time)
-	advance = func(i int, t sim.Time) {
-		if i == len(hops) {
-			n.deliverAt(src, dst, t, ser, payload)
-			return
-		}
-		link := n.mesh.links[hops[i]]
-		link.AcquireAt(t, ser, func() {
-			advance(i+1, n.eng.Now()+n.cfg.NetHopLatency)
-		})
+// serialization time, and adds the per-hop router latency. t is when the
+// head reaches the next link (or, past the last, the destination NI).
+func (n *Network) advance(f *flight, t sim.Time) {
+	if f.hop == len(f.hops) {
+		f.head = t
+		n.deliverAt(f)
+		return
 	}
-	advance(0, start)
+	link := n.mesh.links[f.hops[f.hop]]
+	f.hop++
+	link.AcquireAt(t, f.ser, f.hopFn)
 }
 
 // deliverAt drains the message into the destination NI beginning at
-// headArrives and fires the sink when the last flit lands. When sharded,
-// every delivery — even one whose destination shares the source's shard —
+// f.head and fires the sink when the last flit lands. When sharded, every
+// delivery — even one whose destination shares the source's shard —
 // crosses through DeferTo, so the input port admits requests in the
 // reconstructed serial order (its FIFO accumulation depends on admission
-// order, not just arrival times). headArrives is at least one network
+// order, not just arrival times). The head arrives at least one network
 // latency past the sending event, and the cluster lookahead never exceeds
 // the network latency, so the drained admission lands at or past the
 // window horizon.
-func (n *Network) deliverAt(src, dst int, headArrives, ser sim.Time, payload interface{}) {
+func (n *Network) deliverAt(f *flight) {
 	if n.sharded() {
-		n.engOf(src).DeferTo(n.engOf(dst), func() {
-			n.admit(src, dst, headArrives, ser, payload)
-		})
+		n.engOf(f.src).DeferTo(n.engOf(f.dst), f.admitFn)
 		return
 	}
-	n.admit(src, dst, headArrives, ser, payload)
+	n.admit(f)
 }
 
-func (n *Network) admit(src, dst int, headArrives, ser sim.Time, payload interface{}) {
-	eng := n.engOf(dst)
-	n.in[dst].AcquireAt(headArrives, ser, func() {
-		eng.At(eng.Now()+ser, func() {
-			atomic.AddInt64(&n.inFlight, -1)
-			if _, rejected := payload.(*discardFrame); rejected {
-				// Failed CRC or duplicate sequence number: the NI rejects
-				// the frame after it has consumed wire bandwidth.
-				atomic.AddUint64(&n.link.Discards, 1)
-				return
-			}
-			sink := n.sinks[dst]
-			if sink == nil {
-				panic(fmt.Sprintf("interconnect: no sink on node %d", dst))
-			}
-			if n.tr != nil {
-				name, line, txn, epoch := obs.DescribePayload(payload)
-				n.tr.NetRecv(eng.Now(), src, dst, name, line)
-				n.tr.SpanEnd(txn, obs.StageWire, epoch, eng.Now())
-			}
-			sink(src, payload)
-		})
-	})
+func (n *Network) admit(f *flight) {
+	n.in[f.dst].AcquireAt(f.head, f.ser, f.inFn)
+}
+
+// arrive fires when the last flit has drained into the destination NI: the
+// payload goes to the node's sink, and the flight is released into the
+// destination node's free list once the sink has returned.
+func (n *Network) arrive(f *flight) {
+	src, dst, payload := f.src, f.dst, f.payload
+	atomic.AddInt64(&n.inFlight, -1)
+	if _, rejected := payload.(*discardFrame); rejected {
+		// Failed CRC or duplicate sequence number: the NI rejects the
+		// frame after it has consumed wire bandwidth.
+		atomic.AddUint64(&n.link.Discards, 1)
+		n.release(f)
+		return
+	}
+	sink := n.sinks[dst]
+	if sink == nil {
+		panic(fmt.Sprintf("interconnect: no sink on node %d", dst))
+	}
+	if n.tr != nil {
+		eng := n.engOf(dst)
+		name, line, txn, epoch := obs.DescribePayload(payload)
+		n.tr.NetRecv(eng.Now(), src, dst, name, line)
+		n.tr.SpanEnd(txn, obs.StageWire, epoch, eng.Now())
+	}
+	sink(src, payload)
+	n.release(f)
+}
+
+// release returns f to the free list of its destination's engine.
+func (n *Network) release(f *flight) {
+	f.payload = nil
+	list := &n.free[n.pool[f.dst]]
+	*list = append(*list, f)
 }
 
 // Messages returns the number of messages sent so far.

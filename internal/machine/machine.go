@@ -51,8 +51,10 @@ type Machine struct {
 	run     *stats.Run
 	sampler *obs.Sampler
 
-	// Barrier state (single global sense-counting barrier).
+	// Barrier state (single global sense-counting barrier). barrierFns[i]
+	// is processor i's arrival, bound once so a barrier allocates nothing.
 	barrierParked []*cpu.Proc
+	barrierFns    []func()
 
 	// Lock state.
 	locks     map[int]*lockState
@@ -153,6 +155,7 @@ func NewTraced(cfg config.Config, app string, tr *obs.Tracer) (*Machine, error) 
 			id := n*cfg.ProcsPerNode + i
 			p := cpu.New(engs[n], &m.Cfg, id, n, bus, m.Space, m, tr)
 			m.Procs = append(m.Procs, p)
+			m.barrierFns = append(m.barrierFns, func() { m.arrive(p) })
 		}
 	}
 	return m, nil
@@ -503,19 +506,24 @@ func (m *Machine) collect(execTime sim.Time) {
 // fence; releases pay BarrierCost, which is at least the cluster lookahead,
 // so the cross-engine resumes are legal from the fence body.
 func (m *Machine) Barrier(p *cpu.Proc) {
-	m.fence(p, func() {
-		m.barrierParked = append(m.barrierParked, p)
-		if len(m.barrierParked) < len(m.Procs) {
-			return
-		}
-		parked := m.barrierParked
-		m.barrierParked = nil
-		at := m.engFor(p.Node()).Now()
-		for _, q := range parked {
-			q := q
-			m.engFor(q.Node()).At(at+m.Cfg.BarrierCost, q.Resume)
-		}
-	})
+	m.fence(p, m.barrierFns[p.ID()])
+}
+
+// arrive parks p at the barrier and, when p is the last to arrive,
+// schedules every parked processor's resume. The arrival list keeps its
+// backing array: the next barrier's arrivals only append to it after this
+// loop has read it.
+func (m *Machine) arrive(p *cpu.Proc) {
+	m.barrierParked = append(m.barrierParked, p)
+	if len(m.barrierParked) < len(m.Procs) {
+		return
+	}
+	parked := m.barrierParked
+	m.barrierParked = parked[:0]
+	at := m.engFor(p.Node()).Now()
+	for _, q := range parked {
+		m.engFor(q.Node()).At(at+m.Cfg.BarrierCost, q.ResumeFunc())
+	}
 }
 
 // lockAddrFor lazily assigns each lock a cache line (packed 32 per page so

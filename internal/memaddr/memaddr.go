@@ -16,19 +16,29 @@ type Addr = uint64
 // Space is the machine's physical address space. It is not safe for
 // concurrent use; in the simulator only one goroutine runs at a time.
 type Space struct {
-	cfg   *config.Config
-	next  Addr         // next unallocated address (starts above the null page)
-	homes map[Addr]int // page number -> home node (missing = unassigned)
-	rr    int          // next node for round-robin placement
+	cfg  *config.Config
+	next Addr // next unallocated address (starts above the null page)
+	// homes maps a page number to its home node, -1 when unassigned; pages
+	// past its end are unassigned too. Allocations are contiguous from
+	// page 1, so the table is dense.
+	homes []int32
+	rr    int // next node for round-robin placement
 }
 
 // NewSpace creates an empty address space for the given configuration.
 func NewSpace(cfg *config.Config) *Space {
 	return &Space{
-		cfg:   cfg,
-		next:  Addr(cfg.PageSize), // keep page 0 unmapped to catch null addresses
-		homes: make(map[Addr]int),
+		cfg:  cfg,
+		next: Addr(cfg.PageSize), // keep page 0 unmapped to catch null addresses
 	}
+}
+
+// setHome records page's home node, growing the table to cover it.
+func (s *Space) setHome(page Addr, h int) {
+	for Addr(len(s.homes)) <= page {
+		s.homes = append(s.homes, -1)
+	}
+	s.homes[page] = int32(h)
 }
 
 // pageOf returns the page number containing addr.
@@ -94,7 +104,7 @@ func (s *Space) allocPages(n int, home func(page int) int) Addr {
 			if h >= s.cfg.Nodes {
 				panic(fmt.Sprintf("memaddr: home %d out of range", h))
 			}
-			s.homes[base/ps+i] = h
+			s.setHome(base/ps+i, h)
 		}
 	}
 	s.next = base + pages*ps
@@ -104,8 +114,8 @@ func (s *Space) allocPages(n int, home func(page int) int) Addr {
 // Home returns the home node of addr, or -1 if the page is still unassigned
 // (first-touch placement before any access).
 func (s *Space) Home(addr Addr) int {
-	if h, ok := s.homes[s.pageOf(addr)]; ok {
-		return h
+	if page := s.pageOf(addr); page < Addr(len(s.homes)) {
+		return int(s.homes[page])
 	}
 	return -1
 }
@@ -113,14 +123,13 @@ func (s *Space) Home(addr Addr) int {
 // HomeOrAssign returns the home node of addr, assigning the page to toucher
 // if it has none yet (first-touch placement).
 func (s *Space) HomeOrAssign(addr Addr, toucher int) int {
-	page := s.pageOf(addr)
-	if h, ok := s.homes[page]; ok {
+	if h := s.Home(addr); h >= 0 {
 		return h
 	}
 	if toucher < 0 || toucher >= s.cfg.Nodes {
 		panic(fmt.Sprintf("memaddr: toucher %d out of range", toucher))
 	}
-	s.homes[page] = toucher
+	s.setHome(s.pageOf(addr), toucher)
 	return toucher
 }
 

@@ -170,6 +170,14 @@ func (m *Msg) TraceDesc() (string, uint64, uint64, uint32) {
 	return m.Type.String(), m.Line, m.Txn, m.Epoch
 }
 
+// Clone returns a copy of the message (interconnect.Cloner): a receiving
+// controller recycles a delivered message, so a fault-injected duplicate
+// must not share it with the original.
+func (m *Msg) Clone() interface{} {
+	c := *m
+	return &c
+}
+
 // Flits returns the network occupancy of the message under cfg.
 func (m *Msg) Flits(cfg *config.Config) int {
 	if m.CarriesData() {

@@ -110,9 +110,10 @@ type Outcome struct {
 // Txn is one bus transaction. Create with fields set and hand to Issue; the
 // bus invokes Done exactly once per Issue. An issuer may re-issue the same
 // Txn after its Done has run (a processor owns one for its outstanding
-// miss and reuses it across bus retries and misses): the bus binds its
-// per-transaction callbacks once per Txn, so a re-issue allocates nothing.
-// A Txn is only ever issued on one bus.
+// miss and reuses it across bus retries and misses; the coherence
+// controller and the write-back buffer keep free lists of them): the bus
+// binds its per-transaction callbacks once per Txn, so a re-issue
+// allocates nothing. A Txn is only ever issued on one bus.
 type Txn struct {
 	ID   uint64
 	Kind Kind
@@ -141,12 +142,16 @@ type Txn struct {
 
 	// hook is the completion hook set by OnComplete; Issue clears it.
 	hook func()
-	// out is the outcome the scheduled completion delivers.
+	// out is the outcome the transaction's pending phase will deliver:
+	// a phase that hands over to the next (bank access, data transfer,
+	// write-back data, scheduled completion) stores it here instead of
+	// capturing it.
 	out Outcome
-	// Callbacks bound to this transaction on first use (address grant,
-	// strobe, completion, bounce), so re-issues schedule without
-	// allocating.
-	grantFn, strobeFn, finishFn, bounceFn func()
+	// Callbacks bound to this transaction on first issue (address grant,
+	// strobe, memory bank grant, data-bus grant, write-back data phase,
+	// direct-path capture, completion, bounce), so issues and re-issues
+	// schedule without allocating.
+	grantFn, strobeFn, memFn, xferFn, wbFn, captureFn, finishFn, bounceFn func()
 
 	// supplyFor links an internal deferred-reply transaction to the parked
 	// transaction it completes.
@@ -266,6 +271,8 @@ type Bus struct {
 
 	pending map[uint64]*Txn // line -> in-flight processor transaction
 	nextID  uint64
+	// supplies is the free list of deferred-reply transactions (Supply).
+	supplies []*Txn
 
 	// mem is the shadow value image of this node's local memory, keyed by
 	// line address. Absent entries read as zero (never-written memory).
@@ -382,8 +389,7 @@ func (b *Bus) Issue(txn *Txn) {
 	txn.deferredToCC = false
 	txn.snoopData = 0
 	if txn.grantFn == nil {
-		txn.strobeFn = func() { b.strobe(txn) }
-		txn.grantFn = func() { b.eng.At(b.eng.Now()+b.cfg.BusArb, txn.strobeFn) }
+		b.bind(txn)
 	}
 	b.tr.SpanBegin(txn.Attr, obs.StageBusArb, 0, b.eng.Now())
 	if txn.Kind == WriteBack && txn.HomeLocal {
@@ -395,6 +401,27 @@ func (b *Bus) Issue(txn *Txn) {
 		b.mem[txn.Line] = txn.Data
 	}
 	b.addr.Acquire(b.cfg.AddrStrobe, txn.grantFn)
+}
+
+// bind binds txn's phase callbacks to this bus, once per Txn.
+func (b *Bus) bind(txn *Txn) {
+	txn.strobeFn = func() { b.strobe(txn) }
+	txn.grantFn = func() { b.eng.At(b.eng.Now()+b.cfg.BusArb, txn.strobeFn) }
+	txn.memFn = func() {
+		bankStart := b.eng.Now()
+		b.tr.SpanEnd(txn.Attr, obs.StageMem, 0, bankStart+b.cfg.MemAccess)
+		b.transferData(txn, bankStart+b.cfg.MemAccess, txn.out)
+	}
+	txn.xferFn = func() { b.complete(txn, b.eng.Now()+b.cfg.CriticalQuad, txn.out) }
+	txn.wbFn = func() { b.writeBackData(txn) }
+	txn.captureFn = func() { b.cc.CaptureWriteBack(txn.Line, txn.out.Shared, txn.Data) }
+	txn.finishFn = func() {
+		if b.pending[txn.Line] == txn {
+			delete(b.pending, txn.Line)
+		}
+		txn.deliver()
+	}
+	txn.bounceFn = txn.deliver
 }
 
 // strobe runs at address-strobe time: conflict check, snoop, resolution.
@@ -577,25 +604,31 @@ func (b *Bus) resolveReadEx(txn *Txn, now sim.Time, owned, deferred bool) {
 
 func (b *Bus) resolveWriteBack(txn *Txn, now sim.Time, sharedLeft bool) {
 	// Data crosses the bus starting two cycles after the strobe.
-	b.data.AcquireAt(now+2, b.cfg.BusDataTime(), func() {
-		ds := b.eng.Now()
-		end := ds + b.cfg.BusDataTime()
-		if txn.HomeLocal {
-			// Memory bank absorbs the line (its shadow value was already
-			// forwarded from the write-back buffer at issue time).
-			b.bank(txn.Line).AcquireAt(ds, b.cfg.BankBusy, nil)
-			b.complete(txn, end, Outcome{Status: OK, Shared: sharedLeft})
-			return
-		}
-		// Direct data path: the controller's bus interface forwards the
-		// line to the network interface without dispatching a handler.
-		if b.cc == nil {
-			panic("smpbus: remote write-back with no controller")
-		}
-		line, shared, data := txn.Line, sharedLeft, txn.Data
-		b.eng.At(end, func() { b.cc.CaptureWriteBack(line, shared, data) })
-		b.complete(txn, end, Outcome{Status: OK, Shared: sharedLeft})
-	})
+	txn.out = Outcome{Status: OK, Shared: sharedLeft}
+	b.data.AcquireAt(now+2, b.cfg.BusDataTime(), txn.wbFn)
+}
+
+// writeBackData runs when a write-back's data phase is granted the data
+// bus; txn.out holds its outcome.
+func (b *Bus) writeBackData(txn *Txn) {
+	ds := b.eng.Now()
+	end := ds + b.cfg.BusDataTime()
+	if txn.HomeLocal {
+		// Memory bank absorbs the line (its shadow value was already
+		// forwarded from the write-back buffer at issue time).
+		b.bank(txn.Line).AcquireAt(ds, b.cfg.BankBusy, nil)
+		b.complete(txn, end, txn.out)
+		return
+	}
+	// Direct data path: the controller's bus interface forwards the line
+	// to the network interface without dispatching a handler. The capture
+	// runs ahead of the completion scheduled for the same cycle, so txn
+	// still carries the line, its data and its outcome.
+	if b.cc == nil {
+		panic("smpbus: remote write-back with no controller")
+	}
+	b.eng.At(end, txn.captureFn)
+	b.complete(txn, end, txn.out)
 }
 
 func (b *Bus) resolveFetch(txn *Txn, now sim.Time, owned, sharedSeen bool) {
@@ -627,19 +660,15 @@ func (b *Bus) resolveFetch(txn *Txn, now sim.Time, owned, sharedSeen bool) {
 // word.
 func (b *Bus) memoryRead(txn *Txn, now sim.Time, out Outcome) {
 	out.Data = b.mem[txn.Line]
-	b.bank(txn.Line).AcquireAt(now, b.cfg.BankBusy, func() {
-		bankStart := b.eng.Now()
-		b.tr.SpanEnd(txn.Attr, obs.StageMem, 0, bankStart+b.cfg.MemAccess)
-		b.transferData(txn, bankStart+b.cfg.MemAccess, out)
-	})
+	txn.out = out
+	b.bank(txn.Line).AcquireAt(now, b.cfg.BankBusy, txn.memFn)
 }
 
 // transferData moves a line over the data bus beginning no earlier than
 // ready, completing the transaction at the critical-quad-word arrival.
 func (b *Bus) transferData(txn *Txn, ready sim.Time, out Outcome) {
-	b.data.AcquireAt(ready, b.cfg.BusDataTime(), func() {
-		b.complete(txn, b.eng.Now()+b.cfg.CriticalQuad, out)
-	})
+	txn.out = out
+	b.data.AcquireAt(ready, b.cfg.BusDataTime(), txn.xferFn)
 }
 
 // bounce rejects a strobed transaction with RetryNeeded two cycles later
@@ -649,9 +678,6 @@ func (b *Bus) transferData(txn *Txn, ready sim.Time, out Outcome) {
 func (b *Bus) bounce(txn *Txn, now sim.Time) {
 	b.retries++
 	b.tr.SpanEnd(txn.Attr, obs.StageBus, 0, now+2)
-	if txn.bounceFn == nil {
-		txn.bounceFn = txn.deliver
-	}
 	txn.out = Outcome{Status: RetryNeeded}
 	b.eng.After(2, txn.bounceFn)
 }
@@ -665,14 +691,6 @@ func (b *Bus) complete(txn *Txn, t sim.Time, out Outcome) {
 // finishAt schedules txn's completion with outcome out at time t: the
 // pending entry is cleared, then Done and the completion hook run.
 func (b *Bus) finishAt(txn *Txn, t sim.Time, out Outcome) {
-	if txn.finishFn == nil {
-		txn.finishFn = func() {
-			if b.pending[txn.Line] == txn {
-				delete(b.pending, txn.Line)
-			}
-			txn.deliver()
-		}
-	}
 	txn.out = out
 	b.eng.At(t, txn.finishFn)
 }
@@ -681,33 +699,40 @@ func (b *Bus) finishAt(txn *Txn, t sim.Time, out Outcome) {
 // full data transfer (read/readex responses) versus a bare grant (upgrade
 // acknowledgements); shared tells a Read requester to install the line
 // Shared; data is the shadow line value delivered with a data-bearing
-// reply.
+// reply. The reply transaction comes from the bus's free list and returns
+// to it at its strobe, where it hands the outcome to the parked
+// transaction (a reply is never bounced and its Done never runs).
 func (b *Bus) Supply(parked *Txn, withData, shared bool, data uint64) {
-	s := &Txn{
-		Kind:      supplyKind,
-		Line:      parked.Line,
-		Src:       CCSrc,
-		HomeLocal: parked.HomeLocal,
-		Data:      data,
-		Attr:      parked.Attr,
-		Done:      func(Outcome) {},
-		supplyFor: parked,
-		withData:  withData,
-		shared:    shared,
+	var s *Txn
+	if n := len(b.supplies); n > 0 {
+		s = b.supplies[n-1]
+		b.supplies = b.supplies[:n-1]
+	} else {
+		s = &Txn{Kind: supplyKind, Src: CCSrc, Done: func(Outcome) {}}
 	}
+	s.Line = parked.Line
+	s.HomeLocal = parked.HomeLocal
+	s.Data = data
+	s.Attr = parked.Attr
+	s.supplyFor = parked
+	s.withData = withData
+	s.shared = shared
 	b.Issue(s)
 }
 
+// resolveSupply completes the parked transaction a reply serves, storing
+// the outcome on it, and releases the reply.
 func (b *Bus) resolveSupply(s *Txn, now sim.Time) {
 	parked := s.supplyFor
-	out := Outcome{Status: OK, Shared: s.shared, WithData: s.withData, Data: s.Data}
-	if s.withData {
-		b.data.AcquireAt(now+2, b.cfg.BusDataTime(), func() {
-			b.complete(parked, b.eng.Now()+b.cfg.CriticalQuad, out)
-		})
+	parked.out = Outcome{Status: OK, Shared: s.shared, WithData: s.withData, Data: s.Data}
+	withData := s.withData
+	s.supplyFor = nil
+	b.supplies = append(b.supplies, s)
+	if withData {
+		b.data.AcquireAt(now+2, b.cfg.BusDataTime(), parked.xferFn)
 		return
 	}
-	b.complete(parked, now+2, out)
+	b.complete(parked, now+2, parked.out)
 }
 
 // Abort bounces a deferred transaction back to its issuer with RetryNeeded

@@ -504,3 +504,45 @@ func TestCCInterventionBouncesOnLiveTransfer(t *testing.T) {
 	}
 	_ = cfg
 }
+
+// TestSupplyRepliesHeldUntilStrobe pins the release point of the bus's
+// deferred-reply transactions: a reply returns to the free list at its
+// strobe, where it hands its outcome to the parked transaction. Two
+// replies supplied in the same cycle must each complete their own parked
+// transaction with their own data; a reply released when Supply returned
+// would be taken over by the second.
+func TestSupplyRepliesHeldUntilStrobe(t *testing.T) {
+	eng, b, _ := newBus(t)
+	src := b.AttachSnooper(&fakeSnooper{verdict: SnoopNone})
+	cc := &fakeCC{verdict: SnoopDefer}
+	b.AttachController(cc)
+	got := map[uint64]uint64{}
+	eng.At(0, func() {
+		for _, line := range []uint64{0x3000, 0x4000} {
+			b.Issue(&Txn{Kind: Read, Line: line, Src: src, HomeLocal: false, Done: func(o Outcome) {
+				if o.Status == OK && o.WithData {
+					got[line] = o.Data
+				}
+			}})
+		}
+	})
+	eng.At(100, func() {
+		if len(cc.deferred) != 2 {
+			t.Fatalf("%d transactions deferred, want 2", len(cc.deferred))
+		}
+		for _, parked := range cc.deferred {
+			b.Supply(parked, true, true, parked.Line+1)
+		}
+	})
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []uint64{0x3000, 0x4000} {
+		if got[line] != line+1 {
+			t.Errorf("read of %#x completed with data %#x, want %#x", line, got[line], line+1)
+		}
+	}
+	if len(b.supplies) != 2 {
+		t.Errorf("%d replies on the free list, want 2", len(b.supplies))
+	}
+}
